@@ -1,125 +1,91 @@
 """The MILP hot-path benchmark: the tracked perf trajectory.
 
-Runs every scenario in up to three modes per branch-and-bound backend:
+Runs every scenario on both branch-and-bound backends (``bnb``: our
+search over persistent HiGHS node LPs; ``bnb-simplex``: our search over
+the from-scratch revised simplex) with today's default solver options,
+and runs the same repair once more on the ``scipy`` backend
+(``scipy.optimize.milp`` / HiGHS) as the reference.
 
-- **legacy** -- the pre-overhaul solve path: no presolve, cold node
-  LPs, most-fractional branching, Bland pricing, no incumbent seed,
-  dense arrays;
-- **current** -- the PR 2 defaults: presolve, warm starts (simplex
-  backend), pseudo-cost branching, Dantzig pricing, heuristic
-  incumbent seeding -- still on the dense lowering and per-call
-  ``linprog`` node solves;
-- **sparse** -- today's defaults: everything above plus the CSR
-  sparse core (revised simplex / persistent HiGHS node LPs) and
-  root + node cutting planes.
-
-All modes must produce the *same* objective on every scenario (the
-optimisations are performance-only); each upgrade's speedup is the
-geometric mean of per-scenario wall-clock ratios.  The e4/e5 scaling
-scenarios additionally get their own ``sparse`` geomean
-(``sparse_scaling_geomean``), the number the perf acceptance gate
-tracks.  The *legacy* mode is skipped on the e5 scenarios -- it takes
-minutes there and its trajectory is already pinned by the smaller
-scenarios.
+Every B&B objective must match the ``scipy`` objective on every
+scenario; a divergence fails the run.  The gated quantity is
+``highs_ratio_geomean`` per backend: the geometric mean, across
+scenarios, of own-B&B wall time over ``scipy`` wall time.  Both sides
+run on the same host in the same process, back to back (see
+:func:`_bracketed_ratios`), so host speed divides out and the ratio is
+meaningful on noisy CI runners; smaller is better.
 
 The small/medium scenarios additionally time the exact-arithmetic
 certification layer (``repro.milp.certify``): the same repair with
-``certify=True`` vs ``certify=False`` on today's defaults, summarised
-as ``certify_overhead_geomean`` per backend.  That ratio is gated by
-``check_bench_regression.py`` against the committed baseline -- a
-fresh overhead more than 10% above it fails, catching a certification
-layer that has started taxing the hot path.
+``certify=True`` vs ``certify=False``, summarised as
+``certify_overhead_geomean`` per backend.
 
-Results land in ``BENCH_milp.json`` at the repository root
--- machine-readable, one entry per scenario with nodes / pivots /
-wall-clock -- so the trajectory is diffable from this PR onward.
+``check_bench_regression.py`` gates both ratios against the committed
+baseline: a fresh value more than 10% above it fails.
+
+Results land in ``BENCH_milp.json`` at the repository root --
+machine-readable, one entry per scenario with nodes / pivots /
+wall-clock -- so the trajectory is diffable.  The ``history`` key of an
+existing ``BENCH_milp.json`` (numbers of solve modes that no longer
+exist, kept as ungated data) is carried over unchanged.
 
 Run directly (CI does)::
 
     PYTHONPATH=src python benchmarks/bench_milp.py
 
-Exits non-zero if any objective diverges between modes.  The wall-clock
-numbers are whatever the host gives us; the node/pivot counts are
-deterministic and the real regression signal.
+Exits non-zero if any objective diverges.  The wall-clock numbers are
+whatever the host gives us; the node/pivot counts are deterministic.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import statistics
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
+
+# The revised simplex LU-factorizes small bases; under a multi-threaded
+# BLAS those calls spend more time handing work between threads than
+# computing, and on a 2-core host their wall time swings 3-4x from run
+# to run.  One BLAS thread keeps the gated ratios reproducible.  This
+# must happen before numpy is first imported.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
 
 from repro.acquisition.ocr import inject_value_errors
 from repro.datasets import generate_cash_budget, generate_catalog
 from repro.repair.engine import RepairEngine
-from repro.repair.heuristic import greedy_repair
-from repro.repair.translation import translate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_milp.json"
 
-#: Per-mode solver options.  "legacy" reproduces the pre-overhaul
-#: search exactly; "current" is the PR 2 default (dense arrays);
-#: "sparse" is what a caller gets by default today.
-MODES = {
-    "legacy": dict(
-        presolve=False,
-        warm_start=False,
-        branching="most-fractional",
-        pricing="bland",
-        seed_incumbent=False,
-        sparse=False,
-        cuts=False,
-    ),
-    "current": dict(
-        presolve=True,
-        warm_start=True,
-        branching="pseudocost",
-        pricing="dantzig",
-        seed_incumbent=True,
-        sparse=False,
-        cuts=False,
-    ),
-    "sparse": dict(
-        presolve=True,
-        warm_start=True,
-        branching="pseudocost",
-        pricing="dantzig",
-        seed_incumbent=True,
-        sparse=True,
-        cuts=True,
-    ),
-}
+#: The solver options a caller gets by default, spelled out.
+DEFAULT_MODE = dict(
+    presolve=True,
+    pricing="dantzig",
+    seed_incumbent=True,
+    cuts=True,
+)
 
 BACKENDS = ["bnb", "bnb-simplex"]
 
-#: How many timed repetitions per (scenario, backend, mode); the
-#: minimum wall time is recorded (robust to scheduler noise).
-REPEATS = 3
+#: The reference backend every B&B run is compared (and timed) against.
+REFERENCE_BACKEND = "scipy"
 
-#: The e4/e5 scaling scenarios: the perf gate tracks the sparse-core
-#: geomean on exactly this subset.
-SCALING_SCENARIOS = frozenset(
-    {
-        "cash_budget_y3_e4",
-        "cash_budget_y3_e5",
-        "catalog_c8_e4",
-        "catalog_c12_e5",
-    }
-)
+#: Timed B&B repairs per (scenario, backend), each bracketed by
+#: ``scipy`` runs (see :func:`_bracketed_ratios`); certify-on repairs
+#: are bracketed the same way by certify-off runs.  A scenario's ratio
+#: is the median over the repetitions; reported wall times are minima.
+REPEATS = 5
 
-#: Scenarios too large for the legacy mode (minutes per solve).
-SKIP_LEGACY = frozenset({"cash_budget_y3_e5", "catalog_c12_e5"})
-
-#: Scenarios excluded from the certify-overhead measurement.  The e5
-#: scenarios dominate bench wall-clock and certification cost scales
-#: with the same model size as the solve itself, so the small/medium
-#: subset pins the overhead ratio at a fraction of the bench budget.
-SKIP_CERTIFY = SKIP_LEGACY
+#: The e5 scenarios get no certify-overhead measurement: they dominate
+#: bench wall-clock and certification cost scales with the same model
+#: size as the solve itself, so the small/medium subset pins the
+#: overhead ratio at a fraction of the bench budget.
+LARGE_SCENARIOS = frozenset({"cash_budget_y3_e5", "catalog_c12_e5"})
 
 
 def scenarios():
@@ -144,92 +110,117 @@ def scenarios():
     return cases
 
 
-def run_one(
-    database, constraints, backend: str, mode: Dict, repeats: int = REPEATS
-) -> Dict[str, float]:
-    solver_options = {
-        "presolve": mode["presolve"],
-        "warm_start": mode["warm_start"],
-        "branching": mode["branching"],
-        "pricing": mode["pricing"],
-        "sparse": mode["sparse"],
-        "cuts": mode["cuts"],
+def _solver_options(backend: str) -> Dict:
+    if backend == REFERENCE_BACKEND:
+        return {}  # HiGHS takes none of the B&B options
+    return {
+        "presolve": DEFAULT_MODE["presolve"],
+        "pricing": DEFAULT_MODE["pricing"],
+        "cuts": DEFAULT_MODE["cuts"],
     }
-    best: Optional[Dict[str, float]] = None
+
+
+def _timed_repair(database, constraints, backend: str, certify: bool):
+    engine = RepairEngine(
+        database,
+        constraints,
+        backend=backend,
+        presolve=DEFAULT_MODE["presolve"],
+        seed_incumbent=DEFAULT_MODE["seed_incumbent"],
+        certify=certify,
+    )
+    started = time.perf_counter()
+    outcome = engine.find_card_minimal_repair(**_solver_options(backend))
+    return time.perf_counter() - started, engine, outcome
+
+
+def _bracketed_ratios(
+    run_reference: Callable[[], float],
+    subjects: Dict[str, Callable[[], float]],
+    repeats: int,
+) -> Dict[str, float]:
+    """Median ratio of each subject's run time to its bracketing reference.
+
+    The runs go reference, subject, reference, subject, ..., reference,
+    the subjects taking turns; each subject run is divided by the mean
+    of the reference runs just before and just after it.  A shared host
+    changes speed from one second to the next, and the bracket keeps
+    both sides of a ratio in the same spell.
+    """
+    ratios: Dict[str, List[float]] = {name: [] for name in subjects}
+    before = run_reference()
     for _ in range(repeats):
-        # certify=False: the mode timings track the *solver* trajectory
-        # and must stay comparable with baselines recorded before the
-        # certification layer existed.  Certification's own cost is
-        # measured separately by :func:`run_certify_overhead`.
-        engine = RepairEngine(
-            database,
-            constraints,
-            backend=backend,
-            presolve=mode["presolve"],
-            seed_incumbent=mode["seed_incumbent"],
-            certify=False,
-        )
-        started = time.perf_counter()
-        outcome = engine.find_card_minimal_repair(**solver_options)
-        elapsed = time.perf_counter() - started
-        record = {
-            "wall_time": elapsed,
-            "nodes": sum(s.nodes for s in engine.solve_stats),
-            "pivots": sum(s.simplex_pivots for s in engine.solve_stats),
-            "objective": outcome.objective,
-            "cardinality": outcome.cardinality,
-        }
-        if best is None or record["wall_time"] < best["wall_time"]:
-            best = record
-    assert best is not None
-    return best
+        for name, run in subjects.items():
+            elapsed = run()
+            after = run_reference()
+            ratios[name].append(elapsed / max(0.5 * (before + after), 1e-9))
+            before = after
+    return {name: statistics.median(values) for name, values in ratios.items()}
+
+
+def run_backends(
+    database, constraints, repeats: int = REPEATS
+) -> Tuple[Dict[str, Dict[str, float]], Dict[str, float]]:
+    """Fastest record per backend, and each B&B backend's ``scipy`` ratio."""
+    best: Dict[str, Dict[str, float]] = {}
+
+    def runner(backend: str) -> Callable[[], float]:
+        def run() -> float:
+            # certify=False: these timings track the *solver*; the cost
+            # of certification is measured by run_certify_overhead.
+            elapsed, engine, outcome = _timed_repair(
+                database, constraints, backend, certify=False
+            )
+            if backend not in best or elapsed < best[backend]["wall_time"]:
+                best[backend] = {
+                    "wall_time": elapsed,
+                    "nodes": sum(s.nodes for s in engine.solve_stats),
+                    "pivots": sum(s.simplex_pivots for s in engine.solve_stats),
+                    "objective": outcome.objective,
+                    "cardinality": outcome.cardinality,
+                }
+            return elapsed
+
+        return run
+
+    ratios = _bracketed_ratios(
+        runner(REFERENCE_BACKEND),
+        {backend: runner(backend) for backend in BACKENDS},
+        repeats,
+    )
+    return best, ratios
 
 
 def run_certify_overhead(
     database, constraints, backend: str, repeats: int = REPEATS
 ) -> Dict[str, float]:
-    """Wall-clock cost of exact certification on today's default path.
+    """Wall-clock cost of exact certification on the default path.
 
-    Times the same repair twice on the sparse (default) mode -- once
-    with the rational re-verification layer on (the default) and once
-    with ``certify=False`` -- and reports the on/off ratio.  Min-of-N
-    on each side before taking the ratio, the same scheduler-noise
-    guard as the mode timings.  Both sides must agree on the objective:
-    certification is verification-only and never changes the answer on
-    a clean instance.
+    Times the same repair with the rational re-verification layer on
+    (the default), bracketed by runs with it off, and reports the
+    median on/off ratio and each side's fastest run.  Both sides must
+    agree on the objective: certification is verification-only and
+    never changes the answer on a clean instance.
     """
-    mode = MODES["sparse"]
-    solver_options = {
-        "presolve": mode["presolve"],
-        "warm_start": mode["warm_start"],
-        "branching": mode["branching"],
-        "pricing": mode["pricing"],
-        "sparse": mode["sparse"],
-        "cuts": mode["cuts"],
-    }
-    timings: Dict[bool, float] = {}
+    timings = {True: math.inf, False: math.inf}
     objectives: Dict[bool, float] = {}
-    for certify in (True, False):
-        best = math.inf
-        for _ in range(repeats):
-            engine = RepairEngine(
-                database,
-                constraints,
-                backend=backend,
-                presolve=mode["presolve"],
-                seed_incumbent=mode["seed_incumbent"],
-                certify=certify,
+
+    def runner(certify: bool) -> Callable[[], float]:
+        def run() -> float:
+            elapsed, _engine, outcome = _timed_repair(
+                database, constraints, backend, certify=certify
             )
-            started = time.perf_counter()
-            outcome = engine.find_card_minimal_repair(**solver_options)
-            elapsed = time.perf_counter() - started
-            best = min(best, elapsed)
+            timings[certify] = min(timings[certify], elapsed)
             objectives[certify] = outcome.objective
-        timings[certify] = best
+            return elapsed
+
+        return run
+
+    ratio = _bracketed_ratios(runner(False), {"on": runner(True)}, repeats)["on"]
     return {
         "certified_wall_time": timings[True],
         "uncertified_wall_time": timings[False],
-        "certify_overhead": timings[True] / max(timings[False], 1e-9),
+        "certify_overhead": ratio,
         "objectives_match": abs(objectives[True] - objectives[False]) <= 1e-9,
     }
 
@@ -238,47 +229,39 @@ def _geomean(ratios: List[float]) -> float:
     return math.exp(statistics.fmean(math.log(r) for r in ratios))
 
 
+def _history() -> Optional[Dict]:
+    """The ungated ``history`` block of the existing results file."""
+    try:
+        return json.loads(OUTPUT.read_text(encoding="utf-8")).get("history")
+    except (OSError, ValueError):
+        return None
+
+
 def main() -> int:
     results: List[Dict] = []
     diverged = False
     for name, database, constraints in scenarios():
-        entry: Dict = {"scenario": name, "backends": {}}
-        # The e5 scenarios take 10+ seconds per dense run; one repeat
-        # is enough there (min-of-N is a small-scenario noise guard).
-        repeats = 1 if name in SKIP_LEGACY else REPEATS
+        timed, highs_ratios = run_backends(database, constraints)
+        reference = timed[REFERENCE_BACKEND]
+        entry: Dict = {"scenario": name, REFERENCE_BACKEND: reference, "backends": {}}
         for backend in BACKENDS:
-            modes: Dict[str, Dict[str, float]] = {}
-            for mode_name, mode in MODES.items():
-                if mode_name == "legacy" and name in SKIP_LEGACY:
-                    continue
-                modes[mode_name] = run_one(
-                    database, constraints, backend, mode, repeats=repeats
-                )
-            objectives = [m["objective"] for m in modes.values()]
-            same = max(objectives) - min(objectives) <= 1e-9
+            default = timed[backend]
+            same = abs(default["objective"] - reference["objective"]) <= 1e-9
             if not same:
                 diverged = True
-                detail = " ".join(
-                    f"{mode_name}={record['objective']}"
-                    for mode_name, record in modes.items()
-                )
                 print(
-                    f"OBJECTIVE DIVERGENCE: {name}/{backend}: {detail}",
+                    f"OBJECTIVE DIVERGENCE: {name}/{backend}: "
+                    f"{default['objective']} vs {REFERENCE_BACKEND} "
+                    f"{reference['objective']}",
                     file=sys.stderr,
                 )
-            record: Dict = dict(modes)
-            if "legacy" in modes:
-                record["speedup"] = modes["legacy"]["wall_time"] / max(
-                    modes["current"]["wall_time"], 1e-9
-                )
-            record["sparse_speedup"] = modes["current"]["wall_time"] / max(
-                modes["sparse"]["wall_time"], 1e-9
-            )
-            record["objectives_match"] = same
-            if name not in SKIP_CERTIFY:
-                certify = run_certify_overhead(
-                    database, constraints, backend, repeats=repeats
-                )
+            record: Dict = {
+                "default": default,
+                "highs_ratio": highs_ratios[backend],
+                "objectives_match": same,
+            }
+            if name not in LARGE_SCENARIOS:
+                certify = run_certify_overhead(database, constraints, backend)
                 if not certify["objectives_match"]:
                     diverged = True
                     print(
@@ -294,61 +277,47 @@ def main() -> int:
                 else ""
             )
             print(
-                f"{name:28s} {backend:12s} "
-                f"current {modes['current']['wall_time'] * 1000:9.2f} ms "
-                f"({modes['current']['nodes']:4d} nodes)  "
-                f"sparse {modes['sparse']['wall_time'] * 1000:8.2f} ms "
-                f"({modes['sparse']['nodes']:4d} nodes)  "
-                f"{record['sparse_speedup']:5.2f}x{overhead}"
+                f"{name:20s} {backend:12s} "
+                f"{default['wall_time'] * 1000:9.2f} ms "
+                f"({default['nodes']:4d} nodes, {default['pivots']:5d} pivots)  "
+                f"scipy {reference['wall_time'] * 1000:8.2f} ms  "
+                f"{record['highs_ratio']:5.2f}x{overhead}"
             )
         results.append(entry)
 
     summary = {}
     for backend in BACKENDS:
-        legacy_ratios = [
-            entry["backends"][backend]["speedup"]
-            for entry in results
-            if "speedup" in entry["backends"][backend]
-        ]
-        sparse_ratios = [
-            entry["backends"][backend]["sparse_speedup"] for entry in results
-        ]
-        scaling_ratios = [
-            entry["backends"][backend]["sparse_speedup"]
-            for entry in results
-            if entry["scenario"] in SCALING_SCENARIOS
-        ]
+        highs_ratios = [entry["backends"][backend]["highs_ratio"] for entry in results]
         certify_ratios = [
             entry["backends"][backend]["certify"]["certify_overhead"]
             for entry in results
             if "certify" in entry["backends"][backend]
         ]
         summary[backend] = {
-            "geomean_speedup": _geomean(legacy_ratios),
-            "min_speedup": min(legacy_ratios),
-            "max_speedup": max(legacy_ratios),
-            "sparse_geomean_speedup": _geomean(sparse_ratios),
-            "sparse_scaling_geomean": _geomean(scaling_ratios),
+            "highs_ratio_geomean": _geomean(highs_ratios),
+            "min_highs_ratio": min(highs_ratios),
+            "max_highs_ratio": max(highs_ratios),
             "certify_overhead_geomean": _geomean(certify_ratios),
         }
         print(
-            f"{backend}: sparse geomean "
-            f"{summary[backend]['sparse_geomean_speedup']:.2f}x over current "
-            f"(scaling subset {summary[backend]['sparse_scaling_geomean']:.2f}x); "
-            f"legacy->current geomean "
-            f"{summary[backend]['geomean_speedup']:.2f}x; "
+            f"{backend}: B&B / scipy wall-time geomean "
+            f"{summary[backend]['highs_ratio_geomean']:.2f}x; "
             f"certify overhead geomean "
             f"{summary[backend]['certify_overhead_geomean']:.2f}x"
         )
 
     payload = {
         "benchmark": "milp_hot_path",
-        "modes": {name: dict(mode) for name, mode in MODES.items()},
+        "mode": dict(DEFAULT_MODE),
+        "reference_backend": REFERENCE_BACKEND,
         "repeats": REPEATS,
         "scenarios": results,
         "summary": summary,
         "all_objectives_match": not diverged,
     }
+    history = _history()
+    if history is not None:
+        payload["history"] = history
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {OUTPUT}")
     return 1 if diverged else 0

@@ -1,17 +1,22 @@
 """The bench regression gate.
 
 Compares a freshly produced ``BENCH_milp.json`` against the committed
-baseline and fails (exit 1) when any geomean speedup regressed by more
-than the tolerance (default 10%).  Geomeans -- not raw wall-clock --
-are the gated quantity: each one is a *ratio* of two modes measured on
-the same host in the same process, so host speed divides out and the
-gate is meaningful on noisy CI runners.
+baseline and fails (exit 1) when a gated ratio regressed by more than
+the tolerance (default 10%).  Geomeans of same-host ratios -- not raw
+wall-clock -- are the gated quantity: both sides of each ratio are
+measured on the same host in the same process, so host speed divides
+out and the gate is meaningful on noisy CI runners.
 
-The certification overhead (``certify_overhead_geomean``) is a
-*smaller-is-better* ratio (certify-on wall time over certify-off wall
-time, geomean across the small/medium scenarios), so its gate points
-the other way: a fresh overhead more than 10% *above* the committed
-baseline fails -- certification started taxing the hot path.
+Both ``BENCH_milp.json`` ratios are *smaller-is-better*, so their gate
+is a ceiling: a fresh value more than 10% *above* the committed
+baseline fails.
+
+- ``highs_ratio_geomean`` -- own branch-and-bound wall time over the
+  ``scipy`` (HiGHS) backend's wall time on the same scenario, geomean
+  across scenarios: the search or its LP core got slower;
+- ``certify_overhead_geomean`` -- certify-on wall time over
+  certify-off wall time, geomean across the small/medium scenarios:
+  certification started taxing the hot path.
 
 Also writes a per-scenario markdown table (``--table``) that CI uploads
 as an artifact, so a failing run shows exactly which scenario moved.
@@ -45,22 +50,18 @@ from typing import Dict, List
 #: Relative slowdown beyond which the gate fails (0.10 == 10%).
 DEFAULT_TOLERANCE = 0.10
 
-#: Summary metrics under gate -- all "bigger is better" speedup ratios.
+#: Summary metrics under gate where *bigger* is better.
 GATED_METRICS = (
-    "geomean_speedup",
-    "sparse_geomean_speedup",
-    "sparse_scaling_geomean",
     # BENCH_service.json: fraction of warm-run solve requests served
     # from cache.  Baseline is 1.0 by construction, so any drop at all
     # trips the 10% gate -- a drop means the store stopped serving.
     "warm_hit_rate",
 )
 
-#: Summary metrics under gate where *smaller* is better -- overhead
-#: ratios.  The gate inverts: a fresh value more than ``tolerance``
-#: above the baseline fails.  Same-host on/off ratios, so runner speed
-#: divides out exactly as for the speedup metrics.
-OVERHEAD_METRICS = ("certify_overhead_geomean",)
+#: Summary metrics under gate where *smaller* is better -- same-host
+#: wall-time ratios.  The gate inverts: a fresh value more than
+#: ``tolerance`` above the baseline fails.
+OVERHEAD_METRICS = ("highs_ratio_geomean", "certify_overhead_geomean")
 
 
 def load(path: Path) -> Dict:
@@ -71,21 +72,24 @@ def load(path: Path) -> Dict:
 def scenario_table(fresh: Dict) -> str:
     """A markdown per-scenario table of the fresh run."""
     lines = [
-        "| scenario | backend | current (ms) | sparse (ms) | sparse speedup | certify | match |",
-        "|---|---|---:|---:|---:|---:|---|",
+        "| scenario | backend | B&B (ms) | scipy (ms) | B&B / scipy "
+        "| nodes | pivots | certify | match |",
+        "|---|---|---:|---:|---:|---:|---:|---:|---|",
     ]
     for entry in fresh.get("scenarios", []):
+        reference = entry.get("scipy", {}).get("wall_time", float("nan"))
         for backend, record in entry.get("backends", {}).items():
-            current = record.get("current", {}).get("wall_time", float("nan"))
-            sparse = record.get("sparse", {}).get("wall_time", float("nan"))
-            ratio = record.get("sparse_speedup", float("nan"))
+            default = record.get("default", {})
+            wall = default.get("wall_time", float("nan"))
+            ratio = record.get("highs_ratio", float("nan"))
             certify = record.get("certify", {}).get("certify_overhead")
             overhead = "-" if certify is None else f"{certify:.2f}x"
             match = "yes" if record.get("objectives_match") else "**NO**"
             lines.append(
                 f"| {entry['scenario']} | {backend} "
-                f"| {current * 1000:.2f} | {sparse * 1000:.2f} "
-                f"| {ratio:.2f}x | {overhead} | {match} |"
+                f"| {wall * 1000:.2f} | {reference * 1000:.2f} "
+                f"| {ratio:.2f}x | {default.get('nodes', '-')} "
+                f"| {default.get('pivots', '-')} | {overhead} | {match} |"
             )
     lines.append("")
     lines.append("| backend | metric | value |")
@@ -115,7 +119,7 @@ def main(argv: List[str] | None = None) -> int:
 
     failures: List[str] = []
     if not fresh.get("all_objectives_match", False):
-        failures.append("fresh run reports objective divergence between modes")
+        failures.append("fresh run reports objective divergence")
 
     for backend, base_metrics in baseline.get("summary", {}).items():
         fresh_metrics = fresh.get("summary", {}).get(backend)
@@ -146,7 +150,7 @@ def main(argv: List[str] | None = None) -> int:
         # Overhead metrics gate in the opposite direction: smaller is
         # better, so the bound is a ceiling above the baseline rather
         # than a floor below it.  The baseline-predates / dropped
-        # semantics mirror the speedup metrics exactly.
+        # semantics mirror the bigger-is-better metrics exactly.
         for metric in OVERHEAD_METRICS:
             if metric not in base_metrics:
                 continue  # baseline predates this metric: nothing to gate

@@ -6,14 +6,18 @@ provides the solver substrate from scratch:
 
 - :mod:`repro.milp.model` -- variables (real / integer / binary),
   linear expressions, constraints, and the model object;
-- :mod:`repro.milp.simplex` -- a dense primal (and dual) simplex with
-  Dantzig pricing and Bland anti-cycling, written against numpy only;
-- :mod:`repro.milp.lowering` -- the shared dense-array form every
-  solver-side pass consumes;
+- :mod:`repro.milp.sparse` / :mod:`repro.milp.lowering` -- the CSR
+  form every solver-side pass consumes;
+- :mod:`repro.milp.revised` -- a bounded-variable revised simplex over
+  CSR columns with an LU + eta-file basis, written against numpy (and
+  ``scipy.linalg`` when present); :mod:`repro.milp.simplex` holds the
+  result type and tolerances every LP path shares;
 - :mod:`repro.milp.presolve` -- bound propagation, forced fixings and
-  big-M coefficient tightening ahead of the search;
+  big-M coefficient tightening on the CSR arrays ahead of the search;
 - :mod:`repro.milp.warmstart` -- parent-basis warm starts for the node
   LPs of the simplex-backed search;
+- :mod:`repro.milp.cuts` / :mod:`repro.milp.node_lp` -- cutting planes
+  and the persistent HiGHS node LPs;
 - :mod:`repro.milp.branch_and_bound` -- best-first branch-and-bound
   with pseudo-cost branching and a pluggable LP-relaxation backend;
 - :mod:`repro.milp.scipy_backend` -- a thin adapter over
@@ -46,10 +50,11 @@ from repro.milp.model import (
 from repro.milp.cache import CacheInfo, SolveCache
 from repro.milp.fingerprint import canonical_fingerprint
 from repro.milp.iis import IISError, IISMember, IISResult, extract_iis
-from repro.milp.lowering import DenseArrays, lower_model
+from repro.milp.lowering import lower_model_sparse
 from repro.milp.mps import MpsError, read_mps, write_mps
 from repro.milp.presolve import PresolveResult, PresolveStats, presolve_arrays
-from repro.milp.warmstart import WarmStartTree, WarmStartUnavailable
+from repro.milp.sparse import CSRMatrix, SparseArrays
+from repro.milp.warmstart import SparseWarmStartTree
 from repro.milp.solver import (
     FALLBACK_BACKEND,
     SolveStats,
@@ -79,8 +84,9 @@ __all__ = [
     "read_mps",
     "write_mps",
     "MpsError",
-    "DenseArrays",
-    "lower_model",
+    "CSRMatrix",
+    "SparseArrays",
+    "lower_model_sparse",
     "PresolveResult",
     "PresolveStats",
     "presolve_arrays",
@@ -88,6 +94,5 @@ __all__ = [
     "IISMember",
     "IISResult",
     "extract_iis",
-    "WarmStartTree",
-    "WarmStartUnavailable",
+    "SparseWarmStartTree",
 ]

@@ -61,8 +61,8 @@ DEFAULT_CACHE_SIZE = 256
 CacheKey = Tuple[str, str, str]
 
 #: Backend options that tune *how* the search runs but cannot change
-#: the optimal solution (incumbent seeds, presolve/warm-start toggles,
-#: branching and pricing rules).  Excluded from cache keys so a seeded
+#: the optimal solution (incumbent seeds, presolve and cut toggles,
+#: pricing rules).  Excluded from cache keys so a seeded
 #: solve and a plain solve of the same model share one entry.
 #: ``time_limit`` joins them because only wall-clock-independent
 #: verdicts (optimal / infeasible / unbounded) are ever stored -- see
@@ -72,11 +72,8 @@ PERFORMANCE_OPTIONS = frozenset(
     {
         "incumbent",
         "presolve",
-        "warm_start",
-        "branching",
         "pricing",
         "time_limit",
-        "sparse",
         "cuts",
     }
 )

@@ -49,7 +49,7 @@ from repro.milp.model import (
     Sense,
     SolveStatus,
 )
-from repro.milp.presolve import presolve_sparse
+from repro.milp.presolve import presolve_arrays
 from repro.milp.solver import DEFAULT_BACKEND, solve
 
 
@@ -169,10 +169,7 @@ def _probe(
     """
     sub = _clone_subsystem(model, keep)
     result.probes += 1
-    # Probes run off the sparse lowering: deletion filtering re-lowers
-    # the subsystem once per probe, and the CSR path skips the (m, n)
-    # zero-fill that dominated small-probe lowering time.
-    reduction, _ = presolve_sparse(lower_model_sparse(sub))
+    reduction = presolve_arrays(lower_model_sparse(sub))
     if reduction.status == "infeasible":
         result.presolve_short_circuits += 1
         implicated = None

@@ -1,7 +1,8 @@
-"""Lowering a :class:`~repro.milp.model.MILPModel` to dense arrays.
+"""Lowering a :class:`~repro.milp.model.MILPModel` to CSR arrays.
 
-Both the branch-and-bound search and the presolve pass work on the
-same dense representation::
+The branch-and-bound search, the presolve pass, the cut loop and the
+IIS probes all work on the same representation
+(:class:`~repro.milp.sparse.SparseArrays`)::
 
     min  costs . x  (+ objective_constant)
     s.t. a_ub x <= b_ub
@@ -18,7 +19,6 @@ describe themselves as bound deltas against these shared arrays (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
@@ -27,73 +27,12 @@ from repro.milp.model import MILPModel, Sense
 from repro.milp.sparse import CSRMatrix, SparseArrays
 
 
-@dataclass
-class DenseArrays:
-    """The model lowered to dense arrays, shared by all nodes."""
-
-    costs: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    integral: List[int]
-    objective_constant: float
-
-    @property
-    def n(self) -> int:
-        return self.costs.shape[0]
-
-
-def lower_model(model: MILPModel) -> DenseArrays:
-    """Densify *model* into a :class:`DenseArrays` instance."""
-    n = model.n_variables
-    costs = np.zeros(n)
-    for index, coefficient in model.objective.coefficients.items():
-        costs[index] = coefficient
-    ub_rows: List[np.ndarray] = []
-    ub_rhs: List[float] = []
-    eq_rows: List[np.ndarray] = []
-    eq_rhs: List[float] = []
-    for constraint in model.constraints:
-        row = np.zeros(n)
-        for index, coefficient in constraint.expr.coefficients.items():
-            row[index] = coefficient
-        if constraint.sense is Sense.LE:
-            ub_rows.append(row)
-            ub_rhs.append(constraint.rhs)
-        elif constraint.sense is Sense.GE:
-            ub_rows.append(-row)
-            ub_rhs.append(-constraint.rhs)
-        else:
-            eq_rows.append(row)
-            eq_rhs.append(constraint.rhs)
-    lower = np.array([v.lower for v in model.variables])
-    upper = np.array([v.upper for v in model.variables])
-    integral = [v.index for v in model.variables if v.var_type.is_integral]
-    return DenseArrays(
-        costs=costs,
-        a_ub=np.array(ub_rows) if ub_rows else np.zeros((0, n)),
-        b_ub=np.array(ub_rhs),
-        a_eq=np.array(eq_rows) if eq_rows else np.zeros((0, n)),
-        b_eq=np.array(eq_rhs),
-        lower=lower,
-        upper=upper,
-        integral=integral,
-        objective_constant=model.objective.constant,
-    )
-
-
 def lower_model_sparse(model: MILPModel) -> SparseArrays:
     """Lower *model* to CSR blocks without materialising dense rows.
 
-    Deliberately an independent implementation from :func:`lower_model`
-    (it never allocates an ``(m, n)`` array), so the equivalence
-    property tests in ``tests/test_sparse_lowering.py`` compare two
-    genuinely different code paths.  The contract is identical:
-    constraint order is preserved within each block and ``>=`` rows are
-    negated into ``<=`` rows.
+    Constraint order is preserved within each block and ``>=`` rows
+    are negated into ``<=`` rows; it never allocates an ``(m, n)``
+    array.
     """
     n = model.n_variables
     costs = np.zeros(n)

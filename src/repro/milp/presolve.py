@@ -1,4 +1,4 @@
-"""MILP presolve: shrink the lowered arrays before any LP is built.
+"""MILP presolve: shrink the lowered CSR arrays before any LP is built.
 
 The grounded repair instances ``S*(AC)`` carry a lot of exploitable
 structure: ``y_i = z_i - v_i`` equality rows give every difference
@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.milp.lowering import DenseArrays
+from repro.milp.sparse import CSRMatrix, SparseArrays
 
 INF = math.inf
 
@@ -96,7 +96,7 @@ class PresolveResult:
     kept: List[int] = field(default_factory=list)
     fixed: Dict[int, float] = field(default_factory=dict)
     stats: PresolveStats = field(default_factory=PresolveStats)
-    arrays: Optional[DenseArrays] = None
+    arrays: Optional[SparseArrays] = None
     infeasible_row: Optional[Tuple[str, int]] = None
 
     def restore(self, x_reduced: Optional[Sequence[float]] = None) -> np.ndarray:
@@ -135,22 +135,92 @@ class _Infeasible(Exception):
         self.row = row
 
 
-def presolve_arrays(arrays: DenseArrays) -> PresolveResult:
+class _RowBlock:
+    """One constraint block (``<=`` or ``=``) of the problem under reduction.
+
+    The CSR structure of the lowered block is kept as-is; reductions
+    only rewrite values.  A coefficient driven to zero (a fixed
+    column, a big-M coefficient tightened all the way) drops out of
+    every later support scan, so no row is rebuilt mid-fixpoint.  A
+    column-major index of storage positions makes substituting a fixed
+    variable cost its column's nonzeros, not a pass over every row.
+    """
+
+    def __init__(self, matrix: CSRMatrix, rhs: np.ndarray) -> None:
+        n_rows, n_columns = matrix.shape
+        self.indptr = matrix.indptr
+        self.indices = matrix.indices
+        self.row_ids = matrix.row_ids
+        self.data = matrix.data.astype(float).copy()
+        self.rhs = np.asarray(rhs, dtype=float).copy()
+        self.alive = np.ones(n_rows, dtype=bool)
+        self._column_positions = np.argsort(self.indices, kind="stable")
+        self._column_ptr = np.zeros(n_columns + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(self.indices, minlength=n_columns),
+            out=self._column_ptr[1:],
+        )
+
+    def support(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(columns, storage positions)`` of row *i*'s nonzeros."""
+        start, stop = self.indptr[i], self.indptr[i + 1]
+        nonzero = np.flatnonzero(self.data[start:stop] != 0.0)
+        return self.indices[start:stop][nonzero], start + nonzero
+
+    def _positions(self, j: int) -> np.ndarray:
+        return self._column_positions[self._column_ptr[j]:self._column_ptr[j + 1]]
+
+    def substitute(self, j: int, value: float) -> None:
+        """Fold ``x_j = value`` into the live right-hand sides; zero column *j*."""
+        positions = self._positions(j)
+        if value != 0.0:
+            rows = self.row_ids[positions]
+            coefficients = self.data[positions]
+            live = self.alive[rows] & (coefficients != 0.0)
+            if live.any():
+                self.rhs[rows[live]] -= coefficients[live] * value
+        self.data[positions] = 0.0
+
+    def mentions(self, j: int) -> bool:
+        """Does any live row still carry a nonzero in column *j*?"""
+        positions = self._positions(j)
+        return bool(
+            np.any(self.alive[self.row_ids[positions]] & (self.data[positions] != 0.0))
+        )
+
+    def reduced(self, column_map: np.ndarray, n_kept: int) -> Tuple[CSRMatrix, np.ndarray]:
+        """The live rows over the kept columns (``column_map``: old -> new)."""
+        live_rows = np.flatnonzero(self.alive)
+        if live_rows.size == 0:
+            return CSRMatrix.empty(n_kept), np.zeros(0)
+        entries = self.alive[self.row_ids] & (self.data != 0.0)
+        new_row = np.cumsum(self.alive) - 1
+        indptr = np.zeros(live_rows.size + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(new_row[self.row_ids[entries]], minlength=live_rows.size),
+            out=indptr[1:],
+        )
+        matrix = CSRMatrix(
+            (live_rows.size, n_kept),
+            indptr,
+            column_map[self.indices[entries]],
+            self.data[entries],
+        )
+        return matrix, self.rhs[live_rows]
+
+
+def presolve_arrays(arrays: SparseArrays) -> PresolveResult:
     """Run the presolve fixpoint on *arrays* (which is left untouched)."""
     n = arrays.n
     costs = arrays.costs.astype(float).copy()
-    a_ub = arrays.a_ub.astype(float).copy()
-    b_ub = arrays.b_ub.astype(float).copy()
-    a_eq = arrays.a_eq.astype(float).copy()
-    b_eq = arrays.b_eq.astype(float).copy()
+    ub = _RowBlock(arrays.a_ub, arrays.b_ub)
+    eq = _RowBlock(arrays.a_eq, arrays.b_eq)
     lower = arrays.lower.astype(float).copy()
     upper = arrays.upper.astype(float).copy()
     integral = np.zeros(n, dtype=bool)
     integral[list(arrays.integral)] = True
 
     col_alive = np.ones(n, dtype=bool)
-    ub_alive = np.ones(a_ub.shape[0], dtype=bool)
-    eq_alive = np.ones(a_eq.shape[0], dtype=bool)
     fixed: Dict[int, float] = {}
     constant = float(arrays.objective_constant)
     stats = PresolveStats()
@@ -171,23 +241,16 @@ def presolve_arrays(arrays: DenseArrays) -> PresolveResult:
         if value < lower[j] - tol_for(value) or value > upper[j] + tol_for(value):
             raise _Infeasible
         constant += costs[j] * value
-        if value != 0.0:
-            live_ub = ub_alive & (a_ub[:, j] != 0.0)
-            if live_ub.any():
-                b_ub[live_ub] -= a_ub[live_ub, j] * value
-            live_eq = eq_alive & (a_eq[:, j] != 0.0)
-            if live_eq.any():
-                b_eq[live_eq] -= a_eq[live_eq, j] * value
-        a_ub[:, j] = 0.0
-        a_eq[:, j] = 0.0
+        ub.substitute(j, value)
+        eq.substitute(j, value)
         col_alive[j] = False
         fixed[j] = value
         stats.vars_fixed += 1
 
     def activity_bounds(
-        row: np.ndarray, support: np.ndarray
+        block: _RowBlock, columns: np.ndarray, positions: np.ndarray
     ) -> Tuple[float, float, Dict[int, float], Dict[int, float]]:
-        """Activity range of ``row . x`` over the current bound box.
+        """Activity range of one row over the current bound box.
 
         Returns ``(min_act, max_act, mins, maxs)`` where ``mins[j]`` /
         ``maxs[j]`` are the per-column contributions *from the same
@@ -199,8 +262,8 @@ def presolve_arrays(arrays: DenseArrays) -> PresolveResult:
         max_act = 0.0
         mins: Dict[int, float] = {}
         maxs: Dict[int, float] = {}
-        for j in support:
-            a = float(row[j])
+        for j, p in zip(columns, positions):
+            a = float(block.data[p])
             # Plain Python floats: the callers' rest-of-row subtractions
             # may hit inf - inf, which is a quiet nan (caught by their
             # isfinite guards) rather than a numpy RuntimeWarning.
@@ -245,31 +308,31 @@ def presolve_arrays(arrays: DenseArrays) -> PresolveResult:
                 changed = True
         return changed
 
+
     def scan_ub_rows() -> bool:
         changed = False
-        for i in np.flatnonzero(ub_alive):
-            row = a_ub[i]
-            b = float(b_ub[i])
-            support = np.flatnonzero(row != 0.0)
+        for i in np.flatnonzero(ub.alive):
+            b = float(ub.rhs[i])
+            support, positions = ub.support(i)
             if support.size == 0:
                 if b < -tol_for(b):
                     raise _Infeasible(("ub", int(i)))
-                ub_alive[i] = False
+                ub.alive[i] = False
                 stats.rows_dropped += 1
                 changed = True
                 continue
-            min_act, max_act, mins, maxs = activity_bounds(row, support)
+            min_act, max_act, mins, maxs = activity_bounds(ub, support, positions)
             if min_act > b + tol_for(b):
                 raise _Infeasible(("ub", int(i)))
             if max_act <= b + tol_for(b):
                 # Redundant: satisfied by every point in the bound box.
-                ub_alive[i] = False
+                ub.alive[i] = False
                 stats.rows_dropped += 1
                 changed = True
                 continue
             if support.size == 1:
                 j = int(support[0])
-                a = row[j]
+                a = ub.data[positions[0]]
                 bound = b / a
                 if a > 0:
                     if bound < upper[j] - TIGHTEN_TOL * (1.0 + abs(bound)):
@@ -279,12 +342,12 @@ def presolve_arrays(arrays: DenseArrays) -> PresolveResult:
                     if bound > lower[j] + TIGHTEN_TOL * (1.0 + abs(bound)):
                         lower[j] = bound
                         stats.bounds_tightened += 1
-                ub_alive[i] = False
+                ub.alive[i] = False
                 stats.rows_dropped += 1
                 changed = True
                 continue
-            for j in support:
-                a = row[j]
+            for j, p in zip(support, positions):
+                a = ub.data[p]
                 rest_min = min_act - mins[int(j)]
                 if not math.isfinite(rest_min):
                     continue
@@ -301,11 +364,11 @@ def presolve_arrays(arrays: DenseArrays) -> PresolveResult:
                         stats.bounds_tightened += 1
                         changed = True
             # Binary-column work: forced values and big-M tightening.
-            min_act, max_act, mins, maxs = activity_bounds(row, support)
-            for j in support:
+            min_act, max_act, mins, maxs = activity_bounds(ub, support, positions)
+            for j, p in zip(support, positions):
                 if not is_binary(int(j)):
                     continue
-                a = row[j]
+                a = ub.data[p]
                 rest_min = min_act - mins[int(j)]
                 rest_max = max_act - maxs[int(j)]
                 if a > 0 and math.isfinite(rest_min) and rest_min + a > b + tol_for(b):
@@ -327,41 +390,40 @@ def presolve_arrays(arrays: DenseArrays) -> PresolveResult:
                         if a + margin < new_coefficient <= 0.0:
                             # Big-M tightening: with the binary at 1 the
                             # row can never need more slack than b - U.
-                            a_ub[i, j] = new_coefficient
+                            ub.data[p] = new_coefficient
                             stats.coeffs_tightened += 1
                             changed = True
         return changed
 
     def scan_eq_rows() -> bool:
         changed = False
-        for i in np.flatnonzero(eq_alive):
-            row = a_eq[i]
-            b = float(b_eq[i])
-            support = np.flatnonzero(row != 0.0)
+        for i in np.flatnonzero(eq.alive):
+            b = float(eq.rhs[i])
+            support, positions = eq.support(i)
             if support.size == 0:
                 if abs(b) > tol_for(b):
                     raise _Infeasible(("eq", int(i)))
-                eq_alive[i] = False
+                eq.alive[i] = False
                 stats.rows_dropped += 1
                 changed = True
                 continue
-            min_act, max_act, mins, maxs = activity_bounds(row, support)
+            min_act, max_act, mins, maxs = activity_bounds(eq, support, positions)
             if min_act > b + tol_for(b) or max_act < b - tol_for(b):
                 raise _Infeasible(("eq", int(i)))
             if support.size == 1:
                 j = int(support[0])
                 try:
-                    fix_variable(j, b / row[j])
+                    fix_variable(j, b / eq.data[positions[0]])
                 except _Infeasible as conflict:
                     if conflict.row is None:
                         conflict.row = ("eq", int(i))
                     raise
-                eq_alive[i] = False
+                eq.alive[i] = False
                 stats.rows_dropped += 1
                 changed = True
                 continue
-            for j in support:
-                a = row[j]
+            for j, p in zip(support, positions):
+                a = eq.data[p]
                 rest_min = min_act - mins[int(j)]
                 rest_max = max_act - maxs[int(j)]
                 # a x_j = b - rest  with  rest in [rest_min, rest_max].
@@ -395,12 +457,8 @@ def presolve_arrays(arrays: DenseArrays) -> PresolveResult:
 
     def fix_unconstrained_columns() -> bool:
         changed = False
-        live_ub_matrix = a_ub[ub_alive]
-        live_eq_matrix = a_eq[eq_alive]
         for j in np.flatnonzero(col_alive):
-            in_ub = live_ub_matrix.size and np.any(live_ub_matrix[:, j] != 0.0)
-            in_eq = live_eq_matrix.size and np.any(live_eq_matrix[:, j] != 0.0)
-            if in_ub or in_eq:
+            if ub.mentions(j) or eq.mentions(j):
                 continue
 
             # An unconstrained column sits at whichever bound its cost
@@ -452,11 +510,11 @@ def presolve_arrays(arrays: DenseArrays) -> PresolveResult:
         if not col_alive.any():
             # Fully fixed.  Any row still alive must now be empty;
             # verify its residual right-hand side.
-            for i in np.flatnonzero(ub_alive):
-                if b_ub[i] < -tol_for(b_ub[i]):
+            for i in np.flatnonzero(ub.alive):
+                if ub.rhs[i] < -tol_for(ub.rhs[i]):
                     raise _Infeasible(("ub", int(i)))
-            for i in np.flatnonzero(eq_alive):
-                if abs(b_eq[i]) > tol_for(b_eq[i]):
+            for i in np.flatnonzero(eq.alive):
+                if abs(eq.rhs[i]) > tol_for(eq.rhs[i]):
                     raise _Infeasible(("eq", int(i)))
             return PresolveResult(
                 status="solved", n_original=n, fixed=dict(fixed), stats=stats
@@ -467,23 +525,22 @@ def presolve_arrays(arrays: DenseArrays) -> PresolveResult:
             infeasible_row=conflict.row,
         )
 
-    kept = [int(j) for j in np.flatnonzero(col_alive)]
-    position_of = {j: position for position, j in enumerate(kept)}
-    kept_array = np.array(kept, dtype=int)
-    reduced = DenseArrays(
+    kept_array = np.flatnonzero(col_alive)
+    kept = [int(j) for j in kept_array]
+    column_map = np.full(n, -1, dtype=np.int64)
+    column_map[kept_array] = np.arange(kept_array.size)
+    a_ub, b_ub = ub.reduced(column_map, len(kept))
+    a_eq, b_eq = eq.reduced(column_map, len(kept))
+    reduced = SparseArrays(
         costs=costs[kept_array],
-        a_ub=a_ub[np.flatnonzero(ub_alive)][:, kept_array]
-        if ub_alive.any()
-        else np.zeros((0, len(kept))),
-        b_ub=b_ub[np.flatnonzero(ub_alive)] if ub_alive.any() else np.zeros(0),
-        a_eq=a_eq[np.flatnonzero(eq_alive)][:, kept_array]
-        if eq_alive.any()
-        else np.zeros((0, len(kept))),
-        b_eq=b_eq[np.flatnonzero(eq_alive)] if eq_alive.any() else np.zeros(0),
+        a_ub=a_ub,
+        b_ub=b_ub,
+        a_eq=a_eq,
+        b_eq=b_eq,
         lower=lower[kept_array],
         upper=upper[kept_array],
-        integral=[position_of[int(j)] for j in np.flatnonzero(integral & col_alive)],
-        objective_constant=constant,
+        integral=[int(column_map[j]) for j in np.flatnonzero(integral & col_alive)],
+        objective_constant=float(constant),
     )
     return PresolveResult(
         status="reduced",
@@ -493,24 +550,3 @@ def presolve_arrays(arrays: DenseArrays) -> PresolveResult:
         stats=stats,
         arrays=reduced,
     )
-
-
-def presolve_sparse(arrays) -> Tuple[PresolveResult, Optional[object]]:
-    """Presolve a sparse-lowered problem (:class:`SparseArrays`).
-
-    The fixpoint loop itself runs on the dense view -- presolve is a
-    one-shot pass whose cost is dwarfed by the search, and the dense
-    reductions are battle-tested -- but both endpoints stay sparse:
-    the caller hands in CSR blocks and, when the problem survives with
-    status ``"reduced"``, gets the reduced problem back as
-    :class:`SparseArrays` (second element; ``None`` otherwise).  The
-    :class:`PresolveResult` keeps its usual dense ``arrays`` field so
-    ``restore``/``reduce_point`` behave identically.
-    """
-    from repro.milp.sparse import SparseArrays
-
-    result = presolve_arrays(arrays.to_dense_arrays())
-    reduced: Optional[SparseArrays] = None
-    if result.status == "reduced" and result.arrays is not None:
-        reduced = SparseArrays.from_dense_arrays(result.arrays)
-    return result, reduced

@@ -1,10 +1,10 @@
 """A bounded-variable *revised* simplex over CSR columns.
 
-The dense tableau solver in :mod:`repro.milp.simplex` carries the full
-``m x n`` matrix through every pivot: each iteration rewrites the
-whole tableau even though a DART ground row touches only a handful of
-cells.  The revised simplex keeps the constraint matrix untouched in
-CSR form and represents the basis by a factorization instead:
+This is the from-scratch LP core under the ``bnb-simplex`` backend.
+A DART ground row touches only a handful of cells, so instead of
+rewriting an ``m x n`` tableau at every pivot the revised simplex
+keeps the constraint matrix untouched in CSR form and represents the
+basis by a factorization:
 
 - **basis factorization** -- the ``m x m`` basis ``B`` is LU-factorized
   (``scipy.linalg.lu_factor`` when available, an explicit inverse as a
@@ -28,7 +28,8 @@ CSR form and represents the basis by a factorization instead:
   from a parent basis snapshot, preserving the fixed-structure
   warm-start contract of :mod:`repro.milp.warmstart`.
 
-The LP form matches :func:`repro.milp.simplex.solve_lp`::
+The LP form is the bounded form shared by every LP path
+(:mod:`repro.milp.simplex`)::
 
     min  c . x
     s.t. A_ub x <= b_ub
@@ -36,7 +37,7 @@ The LP form matches :func:`repro.milp.simplex.solve_lp`::
          lower <= x <= upper   (entries may be +/- inf)
 
 Phase 1 uses one artificial column per row (sign matched to the
-initial residual, exactly like the dense solver) minimised to zero;
+initial residual) minimised to zero;
 rows whose slack already covers the residual start feasible and
 skip the artificial.
 """

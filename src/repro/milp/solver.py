@@ -5,8 +5,8 @@ Backends:
 - ``"scipy"`` (default) -- ``scipy.optimize.milp`` / HiGHS;
 - ``"bnb"`` -- the from-scratch branch-and-bound with scipy's LP
   relaxation (fast relaxations, our search);
-- ``"bnb-simplex"`` -- branch-and-bound over the from-scratch dense
-  simplex: every line of the solve path is in this repository.
+- ``"bnb-simplex"`` -- branch-and-bound over the from-scratch revised
+  simplex: every pivot of the solve path is in this repository.
 
 All backends receive the same :class:`~repro.milp.model.MILPModel` and
 return the same :class:`~repro.milp.model.Solution` shape, so they are
@@ -21,7 +21,7 @@ engine: it times the call, consults an optional
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.diagnostics import NumericInstabilityError
@@ -152,42 +152,8 @@ class SolveStats:
     numeric_drift: float = 0.0
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "backend": self.backend,
-            "status": self.status,
-            "wall_time": self.wall_time,
-            "nodes": self.nodes,
-            "simplex_pivots": self.simplex_pivots,
-            "cache_hit": self.cache_hit,
-            "fallback": self.fallback,
-            "n_variables": self.n_variables,
-            "n_constraints": self.n_constraints,
-            "objective": self.objective,
-            "presolve_reductions": self.presolve_reductions,
-            "warm_start_hits": self.warm_start_hits,
-            "warm_start_fallbacks": self.warm_start_fallbacks,
-            "heuristic_seeded": self.heuristic_seeded,
-            "heuristic_gap": self.heuristic_gap,
-            "gap": self.gap,
-            "best_bound": self.best_bound,
-            "phase": self.phase,
-            "tier": self.tier,
-            "tier_hits": self.tier_hits,
-            "tier_fallthroughs": self.tier_fallthroughs,
-            "phase_times": dict(self.phase_times),
-            "cuts_gomory": self.cuts_gomory,
-            "cuts_cover": self.cuts_cover,
-            "node_cuts": self.node_cuts,
-            "refactorizations": self.refactorizations,
-            "certified": self.certified,
-            "certification": self.certification,
-            "certification_failures": self.certification_failures,
-            "cuts_rejected": self.cuts_rejected,
-            "ladder_steps": list(self.ladder_steps),
-            "degraded": self.degraded,
-            "bland_fallbacks": self.bland_fallbacks,
-            "numeric_drift": self.numeric_drift,
-        }
+        """Every field in declaration order; lists and dicts are copies."""
+        return asdict(self)
 
     def __str__(self) -> str:
         flags = []

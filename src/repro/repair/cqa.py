@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple as PyTupl
 from repro.constraints.aggregates import AggregationFunction
 from repro.constraints.grounding import Cell
 from repro.milp.model import MILPModel, Solution, SolveStatus
-from repro.milp.solver import solve
+from repro.milp.solver import solve_with_stats
 from repro.repair.engine import RepairEngine, UnrepairableError
 from repro.repair.translation import RepairObjective, TranslationError, translate
 
@@ -147,7 +147,14 @@ def consistent_aggregate_answer(
                 # current value.
                 expr = expr + weight * float(engine.database.get_value(*cell))
         model.set_objective(direction * expr if not isinstance(expr, float) else 0.0)
-        solution = solve(model, backend=engine.backend)
+        # The certified entry: a range bound is a user-visible answer.
+        solution, stats = solve_with_stats(
+            model,
+            backend=engine.backend,
+            cache=engine.solve_cache,
+            certify=engine.certify,
+        )
+        engine.solve_stats.append(stats)
         if solution.status is not SolveStatus.OPTIMAL:
             raise UnrepairableError(
                 f"CQA optimisation returned {solution.status.value}"

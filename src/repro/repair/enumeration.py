@@ -27,7 +27,7 @@ from typing import Iterator, List, Mapping, Optional, Sequence
 
 from repro.constraints.grounding import Cell
 from repro.milp.model import SolveStatus
-from repro.milp.solver import solve
+from repro.milp.solver import solve_with_stats
 from repro.repair.engine import RepairEngine, UnrepairableError
 from repro.repair.translation import RepairObjective, TranslationError, translate
 from repro.repair.updates import Repair
@@ -78,7 +78,14 @@ def enumerate_card_minimal_repairs(
             model.add_constraint(
                 sum(deltas, start=0) <= float(len(support) - 1)
             )
-        solution = solve(model, backend=engine.backend)
+        # The certified entry: every enumerated repair is an answer.
+        solution, stats = solve_with_stats(
+            model,
+            backend=engine.backend,
+            cache=engine.solve_cache,
+            certify=engine.certify,
+        )
+        engine.solve_stats.append(stats)
         if solution.status is SolveStatus.INFEASIBLE:
             break
         if not solution.is_optimal or solution.objective is None:

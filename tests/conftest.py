@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.datasets import (
     cash_budget_constraints,
@@ -13,6 +14,23 @@ from repro.datasets import (
     paper_acquired_instance,
     paper_ground_truth,
 )
+
+from tests._seeds import base_seed
+
+#: Hypothesis runs deterministically: no local example database (a
+#: counterexample cached by one run must not decide the next), and
+#: every draw comes from the ``REPRO_TEST_SEED`` stream (see
+#: ``tests/_seeds.py``).  A test's own ``@seed`` still takes priority.
+settings.register_profile("repro", database=None)
+settings.load_profile("repro")
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_configure(config):
+    # Runs before the Hypothesis plugin reads its seed option; an
+    # explicit ``--hypothesis-seed`` on the command line wins.
+    if config.getoption("hypothesis_seed", default=None) is None:
+        config.option.hypothesis_seed = str(base_seed())
 
 
 @pytest.fixture

@@ -393,7 +393,6 @@ class TestNumericsGovernor:
             "pricing:dantzig",
             "pricing:bland",
             "cuts:off",
-            "sparse:off",
             "backend:scipy",
         ]
 
@@ -402,21 +401,20 @@ class TestNumericsGovernor:
         # would re-run the identical solve; the rung is skipped.
         governor = NumericsGovernor("bnb-simplex", {})
         assert governor.ladder() == [
-            "as-requested", "pricing:bland", "cuts:off", "sparse:off",
-            "backend:scipy",
+            "as-requested", "pricing:bland", "cuts:off", "backend:scipy",
         ]
 
     def test_bnb_ladder_has_no_pricing_rungs(self):
         governor = NumericsGovernor("bnb", {})
         assert governor.ladder() == [
-            "as-requested", "cuts:off", "sparse:off", "backend:scipy",
+            "as-requested", "cuts:off", "backend:scipy",
         ]
 
     def test_scipy_is_its_own_last_resort(self):
         assert NumericsGovernor("scipy", {}).ladder() == ["as-requested"]
 
     def test_already_degraded_options_collapse_rungs(self):
-        governor = NumericsGovernor("bnb", {"cuts": False, "sparse": False})
+        governor = NumericsGovernor("bnb", {"cuts": False})
         assert governor.ladder() == ["as-requested", "backend:scipy"]
 
     def test_scipy_rung_strips_bnb_only_options(self):
@@ -447,9 +445,9 @@ class TestDegradationLadder:
         assert stats.certified is True
         assert stats.degraded is True
         assert stats.ladder_steps == [
-            "as-requested", "cuts:off", "sparse:off", "backend:scipy",
+            "as-requested", "cuts:off", "backend:scipy",
         ]
-        assert stats.certification_failures == 3
+        assert stats.certification_failures == 2
         assert stats.backend == "scipy"
         assert solution.objective == pytest.approx(1.0)
 
@@ -473,6 +471,97 @@ class TestDegradationLadder:
         solution, stats = solve_with_stats(model, backend="bnb", certify=False)
         assert solution.values["x"] == -50.0  # the lie goes unchallenged
         assert stats.certified is None
+
+
+def _corrupt_after_first_call(monkeypatch, names):
+    """Backends *names* answer the first solve honestly, then lie.
+
+    The first solve is the repair CQA / enumeration start from; every
+    later solve -- the range bounds, the no-good-cut re-solves -- gets
+    :func:`_corrupt_backend`'s violating answer.
+    """
+    calls = []
+    for name in names:
+        real = solver._BACKENDS[name]
+
+        def backend(model, _real=real, **options):
+            calls.append(model)
+            if len(calls) == 1:
+                return _real(model, **options)
+            return _corrupt_backend(model, **options)
+
+        monkeypatch.setitem(solver._BACKENDS, name, backend)
+
+
+class TestUserVisibleAnswersAreCertified:
+    """CQA ranges and enumerated repairs go through the certified entry."""
+
+    @staticmethod
+    def _cqa(certify=True):
+        from repro.constraints.parser import parse_constraints
+        from repro.datasets import paper_acquired_instance
+        from repro.datasets.cashbudget import CASH_BUDGET_CONSTRAINT_DSL
+        from repro.repair import RepairEngine, consistent_aggregate_answer
+
+        functions, _ = parse_constraints(CASH_BUDGET_CONSTRAINT_DSL)
+        engine = RepairEngine(
+            paper_acquired_instance(),
+            cash_budget_constraints(),
+            backend="bnb",
+            certify=certify,
+        )
+        answer = consistent_aggregate_answer(
+            engine, functions["chi2"], [2003, "total cash receipts"]
+        )
+        return engine, answer
+
+    @staticmethod
+    def _enumerate(certify=True):
+        from repro.datasets import paper_acquired_instance
+        from repro.repair import RepairEngine, enumerate_card_minimal_repairs
+
+        engine = RepairEngine(
+            paper_acquired_instance(),
+            cash_budget_constraints(),
+            backend="bnb",
+            certify=certify,
+        )
+        return engine, enumerate_card_minimal_repairs(engine, limit=5)
+
+    def test_cqa_range_rejects_a_corrupt_answer(self, monkeypatch):
+        _corrupt_after_first_call(monkeypatch, ["bnb"])
+        engine, answer = self._cqa()
+        assert (answer.glb, answer.lub) == (pytest.approx(220.0),) * 2
+        bound_stats = engine.solve_stats[1:]
+        assert len(bound_stats) == 2
+        assert all(s.certified and s.degraded for s in bound_stats)
+        assert all(s.backend == "scipy" for s in bound_stats)
+
+    def test_cqa_range_without_certify_would_return_the_lie(self, monkeypatch):
+        _corrupt_after_first_call(monkeypatch, ["bnb"])
+        _, answer = self._cqa(certify=False)
+        assert answer.glb == pytest.approx(0.0)  # the planted objective
+
+    def test_cqa_range_raises_when_every_rung_lies(self, monkeypatch):
+        _corrupt_after_first_call(monkeypatch, ["bnb", "scipy"])
+        with pytest.raises(NumericInstabilityError):
+            self._cqa()
+
+    def test_enumerated_repairs_reject_a_corrupt_answer(self, monkeypatch):
+        _corrupt_after_first_call(monkeypatch, ["bnb"])
+        engine, repairs = self._enumerate()
+        # Example 8: the repair is unique; the lie (a "second" repair)
+        # never comes back.
+        assert len(repairs) == 1
+        assert repairs[0].updates[0].new_value == 220
+        [cut_stats] = engine.solve_stats[1:]
+        assert cut_stats.certified and cut_stats.degraded
+        assert cut_stats.backend == "scipy"
+
+    def test_enumeration_raises_when_every_rung_lies(self, monkeypatch):
+        _corrupt_after_first_call(monkeypatch, ["bnb", "scipy"])
+        with pytest.raises(NumericInstabilityError):
+            self._enumerate()
 
 
 # ---------------------------------------------------------------------------

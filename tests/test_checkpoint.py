@@ -9,6 +9,7 @@ matches -- editing an input between runs must invalidate the entry.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -87,6 +88,16 @@ def test_result_record_round_trip():
     assert revived.resumed  # replayed results are flagged
     [stat] = revived.stats
     assert stat.as_dict() == original.stats[0].as_dict()
+
+
+def test_solve_stats_as_dict_lists_every_field_in_order():
+    stats = sample_result().stats[0]
+    payload = stats.as_dict()
+    assert list(payload) == [f.name for f in dataclasses.fields(SolveStats)]
+    # Containers are copies: mutating the record leaves the dict alone.
+    stats.ladder_steps.append("as-requested")
+    stats.phase_times["phase_bnb"] = 1.0
+    assert payload["ladder_steps"] == [] and payload["phase_times"] == {}
 
 
 def test_journal_append_and_load(tmp_path):

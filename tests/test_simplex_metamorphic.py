@@ -1,11 +1,11 @@
-"""Property-based metamorphic tests for the dense simplex core.
+"""Property-based metamorphic tests for the revised simplex core.
 
 Transformations that provably leave the optimum of
 
     min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  l <= x <= u
 
-unchanged must leave :func:`repro.milp.simplex.solve_lp`'s reported
-objective unchanged too:
+unchanged must leave :func:`repro.milp.revised.solve_lp_sparse`'s
+reported objective unchanged too:
 
 1. scaling any single constraint row (and its right-hand side) by a
    positive factor describes the same halfspace/hyperplane;
@@ -29,8 +29,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.milp.simplex import solve_lp
-
+from tests._lp import solve_lp_from_dense
 from tests._seeds import derived_seeds, describe_seed
 
 N_CASES = 30
@@ -69,7 +68,7 @@ def random_feasible_lp(seed: int):
 
 
 def optimal_objective(costs, a_ub, b_ub, a_eq, b_eq, lower, upper, note):
-    result = solve_lp(
+    result = solve_lp_from_dense(
         costs, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
         lower=lower, upper=upper,
     )

@@ -5,12 +5,13 @@ import pytest
 
 from repro.milp import MILPModel, SolveStatus, VarType, solve
 from repro.milp.branch_and_bound import solve_branch_and_bound
-from repro.milp.simplex import solve_lp
+
+from tests._lp import solve_lp_from_dense
 
 
 class TestSimplexLimits:
     def test_iteration_limit_reported(self):
-        result = solve_lp(
+        result = solve_lp_from_dense(
             costs=[-3, -5],
             a_ub=np.array([[1, 0], [0, 2], [3, 2]]),
             b_ub=[4, 12, 18],
@@ -21,14 +22,14 @@ class TestSimplexLimits:
         assert result.status == "iteration_limit"
 
     def test_no_constraints_bounded(self):
-        result = solve_lp(costs=[1.0], lower=[-3], upper=[5])
+        result = solve_lp_from_dense(costs=[1.0], lower=[-3], upper=[5])
         assert result.is_optimal
         assert result.x[0] == pytest.approx(-3.0)
 
     def test_redundant_equalities(self):
         # The same equality twice: phase 1 leaves a dependent row; the
         # solver must still finish.
-        result = solve_lp(
+        result = solve_lp_from_dense(
             costs=[1, 0],
             a_eq=np.array([[1, 1], [2, 2]]),
             b_eq=[4, 8],
@@ -40,7 +41,7 @@ class TestSimplexLimits:
 
     def test_zero_coefficient_rows(self):
         # An all-zero <= row with a non-negative RHS is vacuous.
-        result = solve_lp(
+        result = solve_lp_from_dense(
             costs=[1],
             a_ub=np.array([[0.0]]),
             b_ub=[3.0],
@@ -51,7 +52,7 @@ class TestSimplexLimits:
 
     def test_zero_row_infeasible(self):
         # An all-zero <= row with negative RHS can never hold.
-        result = solve_lp(
+        result = solve_lp_from_dense(
             costs=[1],
             a_ub=np.array([[0.0]]),
             b_ub=[-1.0],

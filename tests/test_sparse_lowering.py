@@ -1,11 +1,11 @@
 """Property tests for the CSR sparse lowering (`repro.milp.sparse`).
 
-Two independent lowering implementations exist on purpose:
-:func:`repro.milp.lowering.lower_model` (dense, the original) and
-:func:`repro.milp.lowering.lower_model_sparse` (CSR, never allocates an
-``(m, n)`` array).  These tests pin them element-for-element equal on
-randomized models, and add metamorphic checks that row / column
-permutations of a model leave solve objectives unchanged.
+:func:`repro.milp.lowering.lower_model_sparse` is checked against the
+model itself: every CSR row must equal its constraint's own
+coefficient dict (negated for ``>=`` rows), and at random points the
+lowered rows must accept exactly the assignments
+:meth:`MILPModel.check_feasible` accepts.  Metamorphic checks add that
+row / column permutations of a model leave solve objectives unchanged.
 """
 
 import random
@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.milp.branch_and_bound import solve_branch_and_bound
-from repro.milp.lowering import lower_model, lower_model_sparse
-from repro.milp.model import MILPModel, SolveStatus, VarType
+from repro.milp.lowering import lower_model_sparse
+from repro.milp.model import MILPModel, Sense, SolveStatus, VarType
 from repro.milp.sparse import CSRMatrix, SparseArrays
 
 from tests.test_differential_backends import random_grounded_milp
@@ -51,17 +51,55 @@ def random_model(seed: int) -> MILPModel:
 
 
 def assert_lowerings_equal(model: MILPModel) -> None:
-    dense = lower_model(model)
+    """The CSR arrays state exactly the model's rows, bounds and costs."""
     sparse = lower_model_sparse(model)
-    np.testing.assert_array_equal(sparse.costs, dense.costs)
-    np.testing.assert_array_equal(sparse.a_ub.to_dense(), dense.a_ub)
-    np.testing.assert_array_equal(sparse.b_ub, dense.b_ub)
-    np.testing.assert_array_equal(sparse.a_eq.to_dense(), dense.a_eq)
-    np.testing.assert_array_equal(sparse.b_eq, dense.b_eq)
-    np.testing.assert_array_equal(sparse.lower, dense.lower)
-    np.testing.assert_array_equal(sparse.upper, dense.upper)
-    assert list(sparse.integral) == list(dense.integral)
-    assert sparse.objective_constant == dense.objective_constant
+    n = model.n_variables
+    costs = np.zeros(n)
+    for index, coefficient in model.objective.coefficients.items():
+        costs[index] = coefficient
+    np.testing.assert_array_equal(sparse.costs, costs)
+    # Each block keeps model order; ">=" rows arrive negated as "<=".
+    blocks = {"ub": [], "eq": []}
+    for constraint in model.constraints:
+        if constraint.sense is Sense.EQ:
+            blocks["eq"].append((constraint, 1.0))
+        else:
+            sign = -1.0 if constraint.sense is Sense.GE else 1.0
+            blocks["ub"].append((constraint, sign))
+    for matrix, rhs, rows in (
+        (sparse.a_ub, sparse.b_ub, blocks["ub"]),
+        (sparse.a_eq, sparse.b_eq, blocks["eq"]),
+    ):
+        assert matrix.shape == (len(rows), n)
+        assert rhs.shape == (len(rows),)
+        for i, (constraint, sign) in enumerate(rows):
+            columns, values = matrix.row(i)
+            assert list(columns) == sorted(columns)
+            expected = {
+                j: sign * c
+                for j, c in constraint.expr.coefficients.items()
+                if c != 0.0
+            }
+            assert dict(zip(columns.tolist(), values.tolist())) == expected
+            assert rhs[i] == sign * constraint.rhs
+    np.testing.assert_array_equal(sparse.lower, [v.lower for v in model.variables])
+    np.testing.assert_array_equal(sparse.upper, [v.upper for v in model.variables])
+    assert list(sparse.integral) == [
+        v.index for v in model.variables if v.var_type.is_integral
+    ]
+    assert sparse.objective_constant == model.objective.constant
+
+
+def lowered_feasible(arrays, x: np.ndarray, tolerance: float = 1e-6) -> bool:
+    """Feasibility of *x* judged from the lowered arrays alone."""
+    if np.any(x < arrays.lower - tolerance) or np.any(x > arrays.upper + tolerance):
+        return False
+    integral = np.asarray(arrays.integral, dtype=int)
+    if np.any(np.abs(x[integral] - np.round(x[integral])) > tolerance):
+        return False
+    if np.any(arrays.a_ub.matvec(x) > arrays.b_ub + tolerance):
+        return False
+    return bool(np.all(np.abs(arrays.a_eq.matvec(x) - arrays.b_eq) <= tolerance))
 
 
 class TestLoweringEquivalence:
@@ -100,6 +138,41 @@ class TestLoweringEquivalence:
         np.testing.assert_array_equal(
             matrix.to_dense(), [[0.0, 2.0, 0.0], [0.0, 0.0, 0.0]]
         )
+
+
+class TestLoweredRowsAgreeWithModel:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_points_judged_like_check_feasible(self, seed):
+        model = random_model(seed)
+        arrays = lower_model_sparse(model)
+        rng = np.random.default_rng(seed)
+        # Integer points inside (a clipped copy of) each variable's box,
+        # plus a few outside it: integral data keeps every row exact.
+        low = np.maximum(arrays.lower, -6.0)
+        high = np.minimum(arrays.upper, 6.0)
+        verdicts = set()
+        for trial in range(60):
+            if trial % 10 == 9:
+                x = rng.integers(-12, 13, size=arrays.n).astype(float)
+            else:
+                x = np.floor(rng.uniform(low, high + 1.0))
+            expected = model.check_feasible(x)
+            assert lowered_feasible(arrays, x) == expected, (seed, x)
+            verdicts.add(expected)
+        assert False in verdicts
+
+    def test_grounded_optima_are_feasible_in_both_views(self):
+        checked = 0
+        for seed in range(12):
+            model = random_grounded_milp(seed)
+            solution = solve_branch_and_bound(model)
+            if solution.status is not SolveStatus.OPTIMAL:
+                continue  # the generator plants infeasible seeds too
+            x = np.array([solution.values[v.name] for v in model.variables])
+            assert model.check_feasible(x), seed
+            assert lowered_feasible(lower_model_sparse(model), x), seed
+            checked += 1
+        assert checked >= 4
 
 
 class TestCSRMatrixBehaviour:
