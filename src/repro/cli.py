@@ -246,7 +246,8 @@ def cmd_repair(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_batch(args: argparse.Namespace) -> int:
+def _load_tasks(args: argparse.Namespace) -> List[RepairTask]:
+    """One repair task per project directory on the command line."""
     tasks = []
     for directory in args.directories:
         _, _, constraints, database = _load_project(directory)
@@ -258,21 +259,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
                 objective=RepairObjective(args.objective),
             )
         )
-    report = repair_batch(
-        tasks,
-        workers=args.workers,
-        timeout=args.timeout,
-        cache_size=args.cache,
-        store=args.store,
-        backend=args.backend,
-        checkpoint=args.checkpoint,
-        resume=not args.no_resume,
-        max_task_retries=args.max_task_retries,
-        on_infeasible=args.on_infeasible,
-        strategy=args.strategy,
-        misrepair_budget=args.misrepair_budget,
-        certify=args.certify,
-    )
+    return tasks
+
+
+def _print_results(report, show_stats: bool) -> None:
+    """One status line per task (plus its solve records with --stats)."""
     for result in report.results:
         line = f"{result.name}: {result.status}"
         if result.status == "repaired":
@@ -294,9 +285,29 @@ def cmd_batch(args: argparse.Namespace) -> int:
         if result.error and not result.ok:
             line += f" -- {result.error}"
         print(line)
-        if args.stats:
+        if show_stats:
             for record in result.stats:
                 print(f"    {record}")
+
+
+def cmd_batch(args: argparse.Namespace) -> int:
+    tasks = _load_tasks(args)
+    report = repair_batch(
+        tasks,
+        workers=args.workers,
+        timeout=args.timeout,
+        cache_size=args.cache,
+        store=args.store,
+        backend=args.backend,
+        checkpoint=args.checkpoint,
+        resume=not args.no_resume,
+        max_task_retries=args.max_task_retries,
+        on_infeasible=args.on_infeasible,
+        strategy=args.strategy,
+        misrepair_budget=args.misrepair_budget,
+        certify=args.certify,
+    )
+    _print_results(report, args.stats)
     if args.output_dir:
         out_root = Path(args.output_dir)
         for task, result in zip(tasks, report.results):
@@ -314,17 +325,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.repair.service import RepairService, ServiceConfig
 
-    tasks = []
-    for directory in args.directories:
-        _, _, constraints, database = _load_project(directory)
-        tasks.append(
-            RepairTask(
-                database=database,
-                constraints=constraints,
-                name=str(directory),
-                objective=RepairObjective(args.objective),
-            )
-        )
+    tasks = _load_tasks(args)
     config = ServiceConfig(
         store=args.store,
         checkpoint=args.checkpoint,
@@ -342,17 +343,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     with RepairService(config) as service:
         service.install_signal_handlers()
         report = service.run(tasks, resume=not args.no_resume)
-        for result in report.results:
-            line = f"{result.name}: {result.status}"
-            if result.status == "repaired":
-                line += f" ({result.cardinality} value(s) changed)"
-            if result.fallback_taken:
-                line += f" [rerouted to {result.backend_used}]"
-            if result.resumed:
-                line += " [replayed from journal]"
-            if result.error and not result.ok:
-                line += f" -- {result.error}"
-            print(line)
+        _print_results(report, show_stats=False)
         health = service.health()
         print(report.summary())
         breakers = health["breakers"] or {}

@@ -241,7 +241,7 @@ class DartSystem:
             self.scenario.ground_truth, acquired=database
         )
         loop = ValidationLoop(engine, reviewer)
-        validation = loop.run()
+        validation = loop.run(first=outcome)
         return AcquisitionSession(
             acquisition=acquisition,
             wrapping=wrapping,

@@ -18,6 +18,9 @@ through everything short of losing the checkpoint file:
 - **deterministic ordering** -- results are reassembled by task index,
   so the report is byte-identical to the sequential run regardless of
   completion order;
+- **one per-task dispatcher** -- :func:`execute_task` runs every task,
+  in-process, in every pool worker, and for
+  :class:`~repro.repair.service.RepairService`;
 - **per-task budget + anytime fallback** -- ``timeout`` is a portable
   cooperative deadline (:class:`~repro.milp.deadline.Deadline`,
   monotonic clock, checked inside the solver loop -- no ``SIGALRM``)
@@ -33,7 +36,7 @@ through everything short of losing the checkpoint file:
   timeouts report as ``"timeout"``, not a generic error;
 - **checkpoint/resume** -- with ``checkpoint=...`` every completed
   task is journalled (append + fsync) to a
-  :class:`~repro.repair.checkpoint.CheckpointJournal`; re-running the
+  :class:`~repro.repair.checkpoint.RunJournal`; re-running the
   same batch against an existing journal replays the finished tasks
   (fingerprint-verified) and only solves the rest, so an interrupted
   run resumed to completion aggregates identically to an
@@ -64,12 +67,15 @@ from __future__ import annotations
 import os
 import random
 import shutil
+import signal
 import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.constraints.constraint import AggregateConstraint
 from repro.constraints.grounding import Cell
@@ -79,19 +85,29 @@ from repro.diagnostics import (
     classify_failure,
     is_retryable_on_fallback,
 )
-from repro.faultinject import FaultConfig, chaos_before_task
+from repro.faultinject import FaultConfig, chaos_backend_dispatch, chaos_before_task
 from repro.milp.cache import DEFAULT_CACHE_SIZE, SolveCache
 from repro.milp.solver import DEFAULT_BACKEND, FALLBACK_BACKEND, SolveStats
 from repro.relational.database import Database
 from repro.repair.cascade import TIER_EXACT, TIERS
-from repro.repair.checkpoint import CheckpointJournal, task_fingerprint
+from repro.repair.checkpoint import RunJournal
 from repro.repair.engine import ON_INFEASIBLE_MODES, STRATEGIES, RepairEngine
 from repro.repair.translation import RepairObjective
 from repro.repair.updates import Repair
 
+if TYPE_CHECKING:  # pragma: no cover - import cycles
+    from repro.repair.service import CircuitBreaker
+    from repro.repair.store import ResultStore
+
 #: Backwards-compatible alias: the batch timeout used to raise its own
 #: ``SolveTimeout``; budgets now surface the taxonomy's typed error.
 SolveTimeout = SolveTimeoutError
+
+#: Result statuses that count as the *backend's* fault for breaker
+#: accounting.  Input errors (invalid value, degenerate, malformed) and
+#: honest verdicts (unrepairable) say nothing about backend health and
+#: must not open a breaker.
+BACKEND_FAULT_STATUSES = frozenset({"crashed", "timeout", "error", "uncertified"})
 
 #: Ceiling on the exponential pool-respawn backoff, seconds.
 MAX_BACKOFF = 5.0
@@ -234,10 +250,6 @@ class BatchReport:
         return sum(1 for r in self.results if r.status == "quarantined")
 
     @property
-    def n_approximate(self) -> int:
-        return sum(1 for r in self.results if r.approximate)
-
-    @property
     def n_relaxed(self) -> int:
         return sum(1 for r in self.results if r.status == "relaxed")
 
@@ -260,13 +272,6 @@ class BatchReport:
         )
 
     @property
-    def n_degraded(self) -> int:
-        """Tasks where the numerics governor stepped down its ladder."""
-        return sum(
-            1 for r in self.results if any(s.degraded for s in r.stats)
-        )
-
-    @property
     def all_stats(self) -> List[SolveStats]:
         return [s for r in self.results for s in r.stats]
 
@@ -281,35 +286,6 @@ class BatchReport:
     @property
     def cache_misses(self) -> int:
         return self.total_solves - self.cache_hits
-
-    @property
-    def total_nodes(self) -> int:
-        return sum(s.nodes for s in self.all_stats)
-
-    @property
-    def total_pivots(self) -> int:
-        return sum(s.simplex_pivots for s in self.all_stats)
-
-    @property
-    def solver_seconds(self) -> float:
-        """Summed per-solve wall time (CPU-side; > wall_time when parallel)."""
-        return sum(s.wall_time for s in self.all_stats)
-
-    @property
-    def total_presolve_reductions(self) -> int:
-        return sum(s.presolve_reductions for s in self.all_stats)
-
-    @property
-    def total_warm_start_hits(self) -> int:
-        return sum(s.warm_start_hits for s in self.all_stats)
-
-    @property
-    def total_warm_start_fallbacks(self) -> int:
-        return sum(s.warm_start_fallbacks for s in self.all_stats)
-
-    @property
-    def n_seeded_solves(self) -> int:
-        return sum(1 for s in self.all_stats if s.heuristic_seeded)
 
     @property
     def cascade_tier_hits(self) -> Dict[str, int]:
@@ -352,32 +328,39 @@ class BatchReport:
         uninterrupted one except for ``wall_time`` (real elapsed time,
         which necessarily differs between runs).
         """
+        stats = self.all_stats
+
+        def tasks(predicate: Callable[[BatchItemResult], bool]) -> float:
+            return float(sum(1 for r in self.results if predicate(r)))
+
+        def total(field_name: str) -> float:
+            return float(sum(getattr(s, field_name) for s in stats))
+
         return {
             "tasks": float(self.n_tasks),
             "repaired": float(self.n_repaired),
             "consistent": float(self.n_consistent),
             "failed": float(self.n_failed),
             "fallbacks": float(self.n_fallbacks),
-            "approximate": float(self.n_approximate),
+            "approximate": tasks(lambda r: r.approximate),
             "relaxed": float(self.n_relaxed),
             "quarantined": float(self.n_quarantined),
-            "solves": float(self.total_solves),
+            "solves": float(len(stats)),
             "cache_hits": float(self.cache_hits),
             "cache_misses": float(self.cache_misses),
-            "nodes": float(self.total_nodes),
-            "simplex_pivots": float(self.total_pivots),
-            "presolve_reductions": float(self.total_presolve_reductions),
-            "warm_start_hits": float(self.total_warm_start_hits),
-            "warm_start_fallbacks": float(self.total_warm_start_fallbacks),
-            "seeded_solves": float(self.n_seeded_solves),
+            "nodes": total("nodes"),
+            "simplex_pivots": total("simplex_pivots"),
+            "presolve_reductions": total("presolve_reductions"),
+            "warm_start_hits": total("warm_start_hits"),
+            "warm_start_fallbacks": total("warm_start_fallbacks"),
+            "seeded_solves": float(sum(1 for s in stats if s.heuristic_seeded)),
             "certified": float(self.n_certified),
             "uncertified": float(self.n_uncertified),
-            "degraded": float(self.n_degraded),
-            "cuts_rejected": float(
-                sum(s.cuts_rejected for s in self.all_stats)
-            ),
+            "degraded": tasks(lambda r: any(s.degraded for s in r.stats)),
+            "cuts_rejected": total("cuts_rejected"),
             "wall_time": self.wall_time,
-            "solver_seconds": self.solver_seconds,
+            # Summed per-solve wall time (> wall_time when parallel).
+            "solver_seconds": sum(s.wall_time for s in stats),
             **{
                 f"cascade_{tier}": float(hits)
                 for tier, hits in self.cascade_tier_hits.items()
@@ -386,19 +369,19 @@ class BatchReport:
         }
 
     def summary(self) -> str:
-        extras = ""
-        if self.n_certified:
-            extras += f", {self.n_certified} certified"
-        if self.n_uncertified:
-            extras += f", {self.n_uncertified} UNCERTIFIED"
-        if self.n_degraded:
-            extras += f", {self.n_degraded} ladder-degraded"
-        if self.n_approximate:
-            extras += f", {self.n_approximate} approximate"
-        if self.n_relaxed:
-            extras += f", {self.n_relaxed} relaxed"
-        if self.n_quarantined:
-            extras += f", {self.n_quarantined} quarantined"
+        numbers = {key: int(value) for key, value in self.aggregate().items()}
+        extras = "".join(
+            f", {numbers[key]} {label}"
+            for key, label in (
+                ("certified", "certified"),
+                ("uncertified", "UNCERTIFIED"),
+                ("degraded", "ladder-degraded"),
+                ("approximate", "approximate"),
+                ("relaxed", "relaxed"),
+                ("quarantined", "quarantined"),
+            )
+            if numbers[key]
+        )
         if self.n_resumed:
             extras += f", {self.n_resumed} resumed"
         if self.pool_respawns:
@@ -411,7 +394,7 @@ class BatchReport:
             f"{extras}; "
             f"{self.total_solves} solve(s), "
             f"{self.cache_hits} cache hit(s) / {self.cache_misses} miss(es), "
-            f"{self.total_nodes} node(s), {self.total_pivots} pivot(s)"
+            f"{numbers['nodes']} node(s), {numbers['simplex_pivots']} pivot(s)"
         )
 
 
@@ -420,24 +403,67 @@ class BatchReport:
 # ---------------------------------------------------------------------------
 
 
+def open_solve_cache(
+    cache_size: int, store_path: Optional[str] = None
+) -> Tuple[Optional[SolveCache], Optional["ResultStore"]]:
+    """One process's solve cache and the durable store behind it, if any.
+
+    The caller closes the store.  ``cache_size <= 0`` keeps nothing in
+    memory: the cache then only reads through to the store, and there
+    is no cache at all without one.
+    """
+    store = None
+    if store_path is not None:
+        # Imported here, not at module top: worker processes that run
+        # store-less batches never pay for sqlite.
+        from repro.repair.store import ResultStore
+
+        store = ResultStore(store_path)
+    if cache_size <= 0 and store is None:
+        return None, None
+    return SolveCache(cache_size, store=store), store
+
+
+def _retry_crashes(
+    dispatch: Callable[[int], Any], max_retries: int, backoff: float
+) -> Tuple[Any, int]:
+    """Call ``dispatch(attempt)`` until it does not crash.
+
+    Returns its value and the dispatches used.  A
+    :class:`~repro.diagnostics.WorkerCrashError` is retried after
+    :func:`respawn_delay` backoff, at most *max_retries* times.
+    """
+    attempt = 0
+    delay = backoff
+    while True:
+        try:
+            return dispatch(attempt), attempt + 1
+        except WorkerCrashError:
+            attempt += 1
+            if attempt > max_retries:
+                raise
+            delay = respawn_delay(backoff, delay)
+            if delay > 0:
+                time.sleep(delay)
+
+
 def _attempt(
     task: RepairTask,
     backend: str,
+    stats_sink: List[SolveStats],
+    *,
     timeout: Optional[float],
     cache: Optional[SolveCache],
-    stats_sink: List[SolveStats],
-    on_infeasible: str = "raise",
-    strategy: str = "exact",
-    misrepair_budget: int = 0,
-    certify: bool = True,
-) -> Tuple[
-    str, Optional[Repair], Optional[float], bool, Optional[float],
-    Optional[List[Dict]], Optional[bool],
-]:
-    """One engine run on one backend; may raise for the retry logic.
+    on_infeasible: str,
+    strategy: str,
+    misrepair_budget: int,
+    certify: bool,
+) -> Dict[str, Any]:
+    """One engine run on one backend: the outcome fields of its result.
 
-    Whatever happens, the engine's solver stats land in *stats_sink*
-    -- a failed attempt's work is part of the task's accounting too.
+    May raise for the fallback logic.  Whatever happens, the engine's
+    solver stats land in *stats_sink* -- a failed attempt's work is
+    part of the task's accounting too.
     """
     engine = RepairEngine(
         task.database,
@@ -460,28 +486,28 @@ def _attempt(
         # not have, so the consistency short-circuit only applies to
         # pin-free tasks.
         if not task.pins and engine.is_consistent():
-            return "consistent", None, None, False, None, None, None
+            return {"status": "consistent"}
         outcome = engine.find_card_minimal_repair(pins=task.pins, time_limit=timeout)
     finally:
         stats_sink.extend(engine.solve_stats)
     violations = None
     if outcome.relaxed and outcome.violations is not None:
         violations = [v.as_dict() for v in outcome.violations.violations]
-    return (
-        "relaxed" if outcome.relaxed else "repaired",
-        outcome.repair,
-        outcome.objective,
-        outcome.approximate,
-        outcome.gap,
-        violations,
-        outcome.certified,
-    )
+    return {
+        "status": "relaxed" if outcome.relaxed else "repaired",
+        "repair": outcome.repair,
+        "objective": outcome.objective,
+        "approximate": outcome.approximate,
+        "gap": outcome.gap,
+        "violations": violations,
+        "certified": outcome.certified,
+    }
 
 
 def _combined_failure_status(
     primary_error: BaseException, fallback_error: BaseException
 ) -> str:
-    """Status when both backends failed.
+    """Status when every backend tried failed (the errors are one if one ran).
 
     Both deadlines expiring is a *timeout*, not a generic error; more
     generally the fallback's classification wins unless it is the
@@ -500,112 +526,115 @@ def execute_task(
     *,
     default_backend: str = DEFAULT_BACKEND,
     timeout: Optional[float] = None,
-    retry_fallback: bool = True,
     cache: Optional[SolveCache] = None,
     on_infeasible: str = "raise",
     strategy: str = "exact",
     misrepair_budget: int = 0,
     certify: bool = True,
+    breakers: Optional[Mapping[str, "CircuitBreaker"]] = None,
+    fault_config: Optional[FaultConfig] = None,
+    max_task_retries: int = 2,
+    retry_backoff: float = 0.0,
 ) -> BatchItemResult:
-    """Run one task with budget + fallback-backend semantics.
+    """Run one task on its primary backend, then on the alternate.
 
-    The primary backend gets the full *timeout* as a cooperative
-    ``time_limit``; a budget that expires with an incumbent downgrades
-    to an approximate repair (``approximate=True`` with a certified
-    ``gap``) rather than failing.  If the attempt raises -- timeout
-    with no incumbent, solver error, unrepairable verdict -- the task
-    is retried once on :data:`~repro.milp.solver.FALLBACK_BACKEND`
-    with a fresh budget, *unless* the failure is a deterministic input
-    error (invalid value, degenerate table, malformed constraint): no
-    backend can repair those, so the retry is skipped.  Both attempts'
-    solver stats are preserved either way.
+    The one per-task dispatcher of batch and service.  On each backend
+    an optional *breakers* map (the service's circuit breakers) may
+    refuse the dispatch -- every backend refused reports
+    ``status="breaker_open"`` -- then the sick-backend chaos hook runs,
+    its crashes retried ``max_task_retries`` times with
+    :func:`respawn_delay` backoff, and the engine gets *timeout* as a
+    cooperative budget (expiry with an incumbent yields an approximate
+    repair with a certified ``gap``).  Breakers are charged only for
+    :data:`BACKEND_FAULT_STATUSES`.  A failure moves on to
+    :data:`~repro.milp.solver.FALLBACK_BACKEND` unless no backend can
+    fix it (:func:`~repro.diagnostics.is_retryable_on_fallback`), so an
+    ``unrepairable`` verdict is confirmed by the alternate; both
+    attempts' stats are kept, the alternate's flagged ``fallback``.
     """
     started = time.perf_counter()
     primary = task.backend or default_backend
     stats: List[SolveStats] = []
-    try:
-        status, repair, objective, approximate, gap, violations, certified = (
-            _attempt(
-                task, primary, timeout, cache, stats, on_infeasible,
-                strategy, misrepair_budget, certify,
-            )
-        )
+    # (backend, error, dispatches) of every failed backend, in order.
+    failures: List[Tuple[str, Exception, int]] = []
+    refused: List[Tuple[str, float]] = []
+
+    def result(**fields: Any) -> BatchItemResult:
         return BatchItemResult(
-            index=index,
-            name=task.name,
-            status=status,
-            repair=repair,
-            objective=objective,
-            backend_used=primary,
-            approximate=approximate,
-            gap=gap,
-            wall_time=time.perf_counter() - started,
-            stats=stats,
-            violations=violations,
-            certified=certified,
+            index=index, name=task.name, stats=stats,
+            wall_time=time.perf_counter() - started, **fields,
         )
-    except Exception as primary_error:
-        primary_status = classify_failure(primary_error)
-        fallback = FALLBACK_BACKEND.get(primary, None)
-        if (
-            not retry_fallback
-            or fallback is None
-            or fallback == primary
-            or not is_retryable_on_fallback(primary_error)
-        ):
-            return BatchItemResult(
-                index=index,
-                name=task.name,
-                status=primary_status,
-                backend_used=primary,
-                error=str(primary_error),
-                wall_time=time.perf_counter() - started,
-                stats=stats,
-            )
-        fallback_stats: List[SolveStats] = []
+
+    for backend in dict.fromkeys((primary, FALLBACK_BACKEND.get(primary, primary))):
+        breaker = None if breakers is None else breakers[backend]
+        if breaker is not None and not breaker.allow():
+            refused.append((backend, breaker.retry_after()))
+            continue
+        backend_stats: List[SolveStats] = []
+        failure: Optional[Exception] = None
+        dispatches = max(max_task_retries, 0) + 1  # a spent crash budget
         try:
-            status, repair, objective, approximate, gap, violations, certified = (
-                _attempt(
-                    task, fallback, timeout, cache, fallback_stats, on_infeasible,
-                    strategy, misrepair_budget, certify,
-                )
-            )
-            for record in fallback_stats:
-                record.fallback = True
-            stats.extend(fallback_stats)
-            return BatchItemResult(
-                index=index,
-                name=task.name,
-                status=status,
-                repair=repair,
-                objective=objective,
-                backend_used=fallback,
-                fallback_taken=True,
-                approximate=approximate,
-                gap=gap,
-                error=f"primary backend {primary!r} failed: {primary_error}",
-                wall_time=time.perf_counter() - started,
-                stats=stats,
-                violations=violations,
-                certified=certified,
-            )
-        except Exception as fallback_error:
-            for record in fallback_stats:
-                record.fallback = True
-            stats.extend(fallback_stats)
-            return BatchItemResult(
-                index=index,
-                name=task.name,
-                status=_combined_failure_status(primary_error, fallback_error),
-                backend_used=fallback,
-                fallback_taken=True,
-                error=(
-                    f"primary {primary!r}: {primary_error}; "
-                    f"fallback {fallback!r}: {fallback_error}"
+            _, dispatches = _retry_crashes(
+                lambda attempt: chaos_backend_dispatch(
+                    fault_config, backend, index, attempt
                 ),
-                wall_time=time.perf_counter() - started,
-                stats=stats,
+                max_task_retries,
+                retry_backoff,
             )
+            outcome = _attempt(
+                task, backend, backend_stats,
+                timeout=timeout, cache=cache, on_infeasible=on_infeasible,
+                strategy=strategy, misrepair_budget=misrepair_budget,
+                certify=certify,
+            )
+        except Exception as error:
+            failure = error
+        if failures:
+            for record in backend_stats:
+                record.fallback = True
+        stats.extend(backend_stats)
+        if breaker is not None:
+            if failure is not None and classify_failure(failure) in BACKEND_FAULT_STATUSES:
+                breaker.record_failure()
+            else:
+                breaker.record_success()
+        if failure is None:
+            return result(
+                backend_used=backend,
+                fallback_taken=bool(failures),
+                attempts=dispatches,
+                error=(
+                    f"primary backend {failures[0][0]!r} failed: {failures[0][1]}"
+                    if failures
+                    else None
+                ),
+                **outcome,
+            )
+        failures.append((backend, failure, dispatches))
+        if not is_retryable_on_fallback(failure):
+            break
+    if not failures:
+        names = ", ".join(name for name, _ in refused)
+        return result(
+            status="breaker_open",
+            error=(
+                f"all eligible backends have open breakers ({names}); "
+                f"retry in {min(after for _, after in refused):.1f}s"
+            ),
+        )
+    (first, first_error, _), (last, last_error, dispatches) = failures[0], failures[-1]
+    both = len(failures) > 1
+    return result(
+        status=_combined_failure_status(first_error, last_error),
+        backend_used=last,
+        fallback_taken=both,
+        attempts=dispatches,
+        error=(
+            f"primary {first!r}: {first_error}; fallback {last!r}: {last_error}"
+            if both
+            else str(last_error)
+        ),
+    )
 
 
 def _quarantined_result(
@@ -624,6 +653,34 @@ def _quarantined_result(
     )
 
 
+def _run_in_process(
+    task: RepairTask,
+    index: int,
+    cache: Optional[SolveCache],
+    dispatch: Mapping[str, Any],
+) -> BatchItemResult:
+    """One task in this process, re-dispatched after each worker death.
+
+    The in-process analogue of the pool's respawn: a task whose
+    "worker" keeps dying is quarantined after ``max_task_retries``
+    retries.
+    """
+
+    def dispatch_once(attempt: int) -> BatchItemResult:
+        chaos_before_task(dispatch["fault_config"], index, attempt, in_pool=False)
+        return execute_task(task, index, cache=cache, **dispatch)
+
+    max_retries = dispatch["max_task_retries"]
+    try:
+        result, dispatches = _retry_crashes(
+            dispatch_once, max_retries, dispatch["retry_backoff"]
+        )
+    except WorkerCrashError as crash:
+        return _quarantined_result(index, task, max(max_retries, 0) + 1, str(crash))
+    result.attempts += dispatches - 1
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Worker plumbing
 # ---------------------------------------------------------------------------
@@ -632,37 +689,21 @@ def _quarantined_result(
 #: level so forked/spawned workers reuse it across chunks.
 _WORKER_CACHE: Optional[SolveCache] = None
 
-#: Per-process fault-injection config (chaos testing only).
-_WORKER_FAULTS: Optional[FaultConfig] = None
-
 #: A chunk entry: (task index, dispatch attempt, task).
 _Entry = Tuple[int, int, RepairTask]
 
 
-def _init_worker(
-    cache_size: int,
-    fault_config: Optional[FaultConfig] = None,
-    store_path: Optional[str] = None,
-) -> None:
-    global _WORKER_CACHE, _WORKER_FAULTS
-    store = None
-    if store_path is not None:
-        # Imported here, not at module top: worker processes that run
-        # store-less batches never pay for sqlite.
-        from repro.repair.store import ResultStore
-
-        store = ResultStore(store_path)
-    if cache_size > 0 or store is not None:
-        _WORKER_CACHE = SolveCache(cache_size, store=store)
-    else:
-        _WORKER_CACHE = None
-    _WORKER_FAULTS = fault_config
+def _init_worker(cache_size: int, store_path: Optional[str] = None) -> None:
+    global _WORKER_CACHE
+    # A forked worker inherits its parent's signal handlers (the repair
+    # service's SIGTERM drain, say); the watchdog's terminate() must
+    # still kill it.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _WORKER_CACHE, _ = open_solve_cache(cache_size, store_path)
 
 
-def _sentinel(sentinel_dir: Optional[str], index: int, attempt: int, stage: str) -> None:
+def _sentinel(sentinel_dir: str, index: int, attempt: int, stage: str) -> None:
     """Mark a dispatch stage on disk so the parent can autopsy a crash."""
-    if sentinel_dir is None:
-        return
     Path(sentinel_dir, f"{index}.{attempt}.{stage}").touch()
 
 
@@ -746,27 +787,13 @@ def reap_stale_sentinel_dirs(root: Optional[str] = None) -> List[str]:
 
 def _run_chunk(payload: Tuple) -> List[BatchItemResult]:
     """Execute one chunk of entries inside a worker."""
-    (
-        chunk, default_backend, timeout, retry_fallback, sentinel_dir,
-        on_infeasible, strategy, misrepair_budget, certify,
-    ) = payload
+    chunk, sentinel_dir, dispatch = payload
     results = []
     for index, attempt, task in chunk:
         _sentinel(sentinel_dir, index, attempt, "start")
-        chaos_before_task(_WORKER_FAULTS, index, attempt, in_pool=True)
-        result = execute_task(
-            task,
-            index,
-            default_backend=default_backend,
-            timeout=timeout,
-            retry_fallback=retry_fallback,
-            cache=_WORKER_CACHE,
-            on_infeasible=on_infeasible,
-            strategy=strategy,
-            misrepair_budget=misrepair_budget,
-            certify=certify,
-        )
-        result.attempts = attempt + 1
+        chaos_before_task(dispatch["fault_config"], index, attempt, in_pool=True)
+        result = execute_task(task, index, cache=_WORKER_CACHE, **dispatch)
+        result.attempts += attempt
         _sentinel(sentinel_dir, index, attempt, "done")
         results.append(result)
     return results
@@ -797,36 +824,28 @@ def _hung_entry(
     """An in-flight entry whose start sentinel is older than the watchdog."""
     now = time.time()
     for index, attempt, task in entries:
-        start = Path(sentinel_dir, f"{index}.{attempt}.start")
-        if not start.exists():
-            continue
         if _sentinel_exists(sentinel_dir, index, attempt, "done"):
             continue
         try:
-            age = now - start.stat().st_mtime
-        except OSError:
+            age = now - Path(sentinel_dir, f"{index}.{attempt}.start").stat().st_mtime
+        except OSError:  # not started yet
             continue
         if age > hard_timeout:
             return (index, attempt, task)
     return None
 
 
+
+
 def _run_generation(
     chunks: List[List[_Entry]],
     *,
     workers: int,
-    backend: str,
-    timeout: Optional[float],
-    retry_fallback: bool,
     cache_size: int,
     store_path: Optional[str],
     sentinel_dir: str,
-    fault_config: Optional[FaultConfig],
     hard_timeout: Optional[float],
-    on_infeasible: str,
-    strategy: str,
-    misrepair_budget: int,
-    certify: bool,
+    dispatch: Mapping[str, Any],
     on_result: Callable[[BatchItemResult], None],
 ) -> Tuple[List[_Entry], bool]:
     """Run one pool lifetime; returns (undelivered entries, pool broke).
@@ -841,25 +860,15 @@ def _run_generation(
     pool = ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_worker,
-        initargs=(cache_size, fault_config, store_path),
+        initargs=(cache_size, store_path),
     )
     futures: Dict[Future, List[_Entry]] = {}
     broke = False
     delivered: set = set()
     try:
         for chunk in chunks:
-            payload = (
-                chunk,
-                backend,
-                timeout,
-                retry_fallback,
-                sentinel_dir,
-                on_infeasible,
-                strategy,
-                misrepair_budget,
-                certify,
-            )
             try:
+                payload = (chunk, sentinel_dir, dispatch)
                 futures[pool.submit(_run_chunk, payload)] = chunk
             except Exception:
                 broke = True
@@ -892,18 +901,10 @@ def _run_generation(
                     delivered.add(result.index)
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
+    # Entries never submitted (submit itself broke) are undelivered too.
     remaining = [
-        entry
-        for chunk in futures.values()
-        for entry in chunk
-        if entry[0] not in delivered
+        entry for chunk in chunks for entry in chunk if entry[0] not in delivered
     ]
-    # Entries never submitted (submit itself broke) are also undelivered.
-    submitted = {entry[0] for chunk in futures.values() for entry in chunk}
-    for chunk in chunks:
-        for entry in chunk:
-            if entry[0] not in submitted and entry[0] not in delivered:
-                remaining.append(entry)
     return remaining, broke
 
 
@@ -911,26 +912,18 @@ def _run_pool(
     indexed: List[Tuple[int, RepairTask]],
     *,
     workers: int,
-    backend: str,
-    timeout: Optional[float],
-    retry_fallback: bool,
     cache_size: int,
     store_path: Optional[str],
     chunksize: int,
-    max_task_retries: int,
-    retry_backoff: float,
     hard_timeout: Optional[float],
-    fault_config: Optional[FaultConfig],
-    on_infeasible: str,
-    strategy: str,
-    misrepair_budget: int,
-    certify: bool,
+    dispatch: Mapping[str, Any],
     on_result: Callable[[BatchItemResult], None],
 ) -> int:
     """Drive the pool to completion through crashes; returns respawn count."""
+    max_task_retries = dispatch["max_task_retries"]
+    retry_backoff = dispatch["retry_backoff"]
     crashes: Dict[int, int] = {index: 0 for index, _ in indexed}
     entries: List[_Entry] = [(index, 0, task) for index, task in indexed]
-    task_of: Dict[int, RepairTask] = dict(indexed)
     # First, bury the dead: sentinel directories leaked by orchestrators
     # that were SIGKILLed (finally never ran) must not linger.
     reap_stale_sentinel_dirs()
@@ -962,18 +955,11 @@ def _run_pool(
             remaining, broke = _run_generation(
                 _chunked(wave, size),
                 workers=workers,
-                backend=backend,
-                timeout=timeout,
-                retry_fallback=retry_fallback,
                 cache_size=cache_size,
                 store_path=store_path,
                 sentinel_dir=sentinel_dir,
-                fault_config=fault_config,
                 hard_timeout=hard_timeout,
-                on_infeasible=on_infeasible,
-                strategy=strategy,
-                misrepair_budget=misrepair_budget,
-                certify=certify,
+                dispatch=dispatch,
                 on_result=on_result,
             )
             generation += 1
@@ -1033,7 +1019,6 @@ def repair_batch(
     timeout: Optional[float] = None,
     cache_size: int = DEFAULT_CACHE_SIZE,
     store: Optional[str] = None,
-    retry_fallback: bool = True,
     chunksize: Optional[int] = None,
     backend: str = DEFAULT_BACKEND,
     checkpoint: Optional[str] = None,
@@ -1049,14 +1034,15 @@ def repair_batch(
 ) -> BatchReport:
     """Repair every task, in parallel when ``workers >= 1``.
 
-    Results come back in task order whatever the completion order.
-    ``workers=None`` (or 0) runs in-process with one cache shared by
-    the whole corpus; with a pool, each worker process holds its own
-    LRU cache of ``cache_size`` solutions (``cache_size=0`` disables
-    caching).  ``timeout`` is the per-task solve budget in seconds
-    (cooperative, monotonic-clock), applied independently to the
-    primary attempt and to the fallback retry; a budget expiring with
-    an incumbent yields an approximate repair with a certified gap.
+    Every task goes through :func:`execute_task`.  Results come back in
+    task order whatever the completion order.  ``workers=None`` (or 0)
+    runs in-process with one cache shared by the whole corpus; with a
+    pool, each worker process holds its own LRU cache of ``cache_size``
+    solutions (``cache_size=0`` disables caching).  ``timeout`` is the
+    per-task solve budget in seconds (cooperative, monotonic-clock),
+    applied independently to the primary attempt and to the fallback
+    retry; a budget expiring with an incumbent yields an approximate
+    repair with a certified gap.
 
     ``store`` names a durable content-addressed result store
     (:class:`~repro.repair.store.ResultStore`, SQLite): every worker's
@@ -1065,12 +1051,13 @@ def repair_batch(
     worker's LRU.  Only first-rung exact-certified answers are admitted
     to the store, and hits are re-certified on read.
 
-    ``checkpoint`` names a journal file: completed tasks are appended
-    (fsync'd) as they finish, and when ``resume`` is true an existing
-    journal replays its fingerprint-verified results instead of
-    re-solving them.  ``max_task_retries`` bounds how often a task
+    ``checkpoint`` names a journal file
+    (:class:`~repro.repair.checkpoint.RunJournal`): completed tasks are
+    appended (fsync'd) as they finish, and when ``resume`` is true an
+    existing journal replays its fingerprint-verified results instead
+    of re-solving them.  ``max_task_retries`` bounds how often a task
     whose worker crashed is re-dispatched before quarantine;
-    ``retry_backoff`` seeds the exponential pool-respawn delay.
+    ``retry_backoff`` seeds the exponential respawn delay.
     ``hard_timeout`` arms a watchdog that terminates a worker whose
     current task has run that many wall-clock seconds (hung native
     code); the task then follows the crash/quarantine path.
@@ -1092,8 +1079,9 @@ def repair_batch(
     numerics governor re-solve down its degradation ladder on a
     certification failure.  Results that are uncertified or that only
     exist because the ladder degraded the solve are **never written to
-    the checkpoint journal**: a resumed run must re-derive them from
-    scratch rather than replay a numerically suspect answer.
+    the checkpoint journal**, and a resume replays only certified
+    repairs: the resumed run re-derives the rest from scratch rather
+    than replay a numerically suspect answer.
     """
     if on_infeasible not in ON_INFEASIBLE_MODES:
         raise ValueError(
@@ -1106,145 +1094,53 @@ def repair_batch(
         )
     task_list = list(tasks)
     started = time.perf_counter()
-
-    journal: Optional[CheckpointJournal] = None
-    fingerprints: List[str] = []
-    replayed: Dict[int, BatchItemResult] = {}
-    if checkpoint is not None:
-        journal = CheckpointJournal(checkpoint)
-        fingerprints = [
-            task_fingerprint(
-                task, strategy=strategy, misrepair_budget=misrepair_budget
-            )
-            for task in task_list
-        ]
-        header_meta = {
-            "n_tasks": len(task_list),
-            "backend": backend,
-            "timeout": timeout,
-            "on_infeasible": on_infeasible,
-            "strategy": strategy,
-            "misrepair_budget": misrepair_budget,
-            "certify": certify,
-        }
-        if journal.exists() and resume:
-            journal.truncate_torn_tail()
-            replayed, _ = journal.load_completed(
-                task_list, fingerprints, expected_meta=header_meta
-            )
-        else:
-            if journal.exists():
-                journal.path.unlink()
-            journal.write_header(**header_meta)
-
-    results: List[Optional[BatchItemResult]] = [None] * len(task_list)
-    for index, result in replayed.items():
-        results[index] = result
+    dispatch: Dict[str, Any] = {
+        "default_backend": backend,
+        "timeout": timeout,
+        "on_infeasible": on_infeasible,
+        "strategy": strategy,
+        "misrepair_budget": misrepair_budget,
+        "certify": certify,
+        "fault_config": fault_config,
+        "max_task_retries": max_task_retries,
+        "retry_backoff": retry_backoff,
+    }
+    journal = None if checkpoint is None else RunJournal(checkpoint, dispatch)
+    results = {} if journal is None else journal.open(task_list, resume=resume)
 
     def deliver(result: BatchItemResult) -> None:
-        # Certification hygiene (mirrors the solve cache): the journal
-        # is replayed verbatim on resume, so an uncertified or
-        # ladder-degraded result must never be persisted -- the resumed
-        # run re-solves it instead of inheriting a suspect answer.
-        journal_worthy = not (
-            certify
-            and (
-                result.status == "uncertified"
-                or result.certified is False
-                or any(s.degraded for s in result.stats)
-            )
-        )
-        if journal is not None and journal_worthy:
-            journal.append_result(result, fingerprints[result.index])
+        if journal is not None:
+            journal.record(result, task_list[result.index])
         results[result.index] = result
 
     todo = [
-        (index, task)
-        for index, task in enumerate(task_list)
-        if results[index] is None
+        (index, task) for index, task in enumerate(task_list) if index not in results
     ]
-
-    if not workers or workers < 1:
-        store_obj = None
-        if store is not None:
-            from repro.repair.store import ResultStore
-
-            store_obj = ResultStore(store)
-        cache = (
-            SolveCache(cache_size, store=store_obj)
-            if cache_size > 0 or store_obj is not None
-            else None
+    respawns = 0
+    if workers and workers >= 1:
+        if chunksize is None:
+            chunksize = max(1, (len(todo) + workers * 4 - 1) // (workers * 4))
+        respawns = _run_pool(
+            todo,
+            workers=workers,
+            cache_size=cache_size,
+            store_path=None if store is None else str(store),
+            chunksize=chunksize,
+            hard_timeout=hard_timeout,
+            dispatch=dispatch,
+            on_result=deliver,
         )
+    else:
+        workers = 0
+        cache, store_obj = open_solve_cache(cache_size, store)
         try:
             for index, task in todo:
-                crashes = 0
-                delay = retry_backoff
-                while True:
-                    try:
-                        chaos_before_task(fault_config, index, crashes, in_pool=False)
-                        result = execute_task(
-                            task,
-                            index,
-                            default_backend=backend,
-                            timeout=timeout,
-                            retry_fallback=retry_fallback,
-                            cache=cache,
-                            on_infeasible=on_infeasible,
-                            strategy=strategy,
-                            misrepair_budget=misrepair_budget,
-                            certify=certify,
-                        )
-                        result.attempts = crashes + 1
-                        break
-                    except WorkerCrashError as crash:
-                        crashes += 1
-                        if crashes > max_task_retries:
-                            result = _quarantined_result(
-                                index, task, crashes, str(crash)
-                            )
-                            break
-                        delay = respawn_delay(retry_backoff, delay)
-                        if delay > 0:
-                            time.sleep(delay)
-                deliver(result)
+                deliver(_run_in_process(task, index, cache, dispatch))
         finally:
             if store_obj is not None:
                 store_obj.close()
-        assert all(result is not None for result in results)
-        return BatchReport(
-            results=results,  # type: ignore[arg-type]
-            wall_time=time.perf_counter() - started,
-            workers=0,
-            cache_size=cache_size,
-            timeout=timeout,
-            checkpoint=None if checkpoint is None else str(checkpoint),
-            store=None if store is None else str(store),
-        )
-
-    if chunksize is None:
-        chunksize = max(1, (len(todo) + workers * 4 - 1) // max(1, workers * 4))
-    respawns = _run_pool(
-        todo,
-        workers=workers,
-        backend=backend,
-        timeout=timeout,
-        retry_fallback=retry_fallback,
-        cache_size=cache_size,
-        store_path=None if store is None else str(store),
-        chunksize=chunksize,
-        max_task_retries=max_task_retries,
-        retry_backoff=retry_backoff,
-        hard_timeout=hard_timeout,
-        fault_config=fault_config,
-        on_infeasible=on_infeasible,
-        strategy=strategy,
-        misrepair_budget=misrepair_budget,
-        certify=certify,
-        on_result=deliver,
-    )
-    assert all(result is not None for result in results)
     return BatchReport(
-        results=results,  # type: ignore[arg-type]
+        results=[results[index] for index in range(len(task_list))],
         wall_time=time.perf_counter() - started,
         workers=workers,
         cache_size=cache_size,

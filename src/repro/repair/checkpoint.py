@@ -27,6 +27,11 @@ definitions and the full database content.  A journaled result is only
 reused when the fingerprint of the task *now* matches the fingerprint
 recorded *then* -- editing an input CSV between runs silently turns the
 stale entry into a miss instead of resurrecting a wrong answer.
+
+:class:`RunJournal` is the one journal lifecycle ``repair_batch`` and
+``RepairService`` share: open-or-replay against a corpus, the
+certification hygiene that decides which results are journalled, and
+the ``.pending`` manifest a drained run leaves behind.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.milp.solver import SolveStats
 from repro.relational.database import Database
@@ -321,11 +326,12 @@ class CheckpointJournal:
         belongs to a different batch configuration.
 
         ``require_certified=True`` additionally drops journaled
-        *repaired* results whose ``certified`` flag is not ``True`` --
-        the crash-recovery replay of the repair service, which promises
-        to re-solve any uncertified tail rather than inherit it.
-        (Results that carry no repair to certify -- consistent or
-        failed tasks -- pass through on their status alone.)
+        *repaired* results whose ``certified`` flag is not ``True``, so
+        a resumed run re-solves any uncertified tail rather than
+        inheriting it.  Results that carry no certifiable repair --
+        consistent, relaxed (never certified: it violates constraints
+        by design) or failed tasks -- pass through on their status
+        alone.
         """
         loaded = self.load()
         for key, expected in (expected_meta or {}).items():
@@ -348,9 +354,110 @@ class CheckpointJournal:
                 continue  # the input changed since the journal was written
             if (
                 require_certified
-                and record.get("status") in ("repaired", "relaxed")
+                and record.get("status") == "repaired"
                 and record.get("certified") is not True
             ):
                 continue  # uncertified tail: re-solve, never replay
             completed[index] = record_to_result(record)
         return completed, loaded
+
+
+# ---------------------------------------------------------------------------
+# The run lifecycle shared by repair_batch and RepairService
+# ---------------------------------------------------------------------------
+
+#: Statuses that refuse a task instead of answering it: nothing to replay.
+REFUSAL_STATUSES = frozenset({"breaker_open", "overloaded"})
+
+#: Dispatch settings recorded in (and checked against) the header.
+_HEADER_SETTINGS = ("timeout", "on_infeasible", "strategy", "misrepair_budget", "certify")
+
+
+def journal_worthy(result: "BatchItemResult", certify: bool) -> bool:  # noqa: F821
+    """May *result* be journalled, and so replayed verbatim on resume?
+
+    Refusals are not answers.  Under certification an uncertified or
+    ladder-degraded result is kept out too (mirroring the solve cache):
+    the resumed run re-derives it instead of inheriting a suspect answer.
+    """
+    if result.status in REFUSAL_STATUSES:
+        return False
+    return not (
+        certify
+        and (
+            result.status == "uncertified"
+            or result.certified is False
+            or any(s.degraded for s in result.stats)
+        )
+    )
+
+
+class RunJournal(CheckpointJournal):
+    """The checkpoint journal of one run: open-or-replay, record, drain.
+
+    *dispatch* holds the :func:`~repro.repair.batch.execute_task`
+    settings of the run; the ones that decide a result (backend,
+    timeout, on_infeasible, strategy, misrepair_budget, certify) form
+    the header, so a journal is never replayed under other settings.
+    """
+
+    def __init__(self, path: os.PathLike, dispatch: Mapping[str, Any]) -> None:
+        super().__init__(path)
+        self.meta: Dict[str, Any] = {
+            "backend": dispatch["default_backend"],
+            **{key: dispatch[key] for key in _HEADER_SETTINGS},
+        }
+        self._fingerprints: Dict[int, str] = {}
+
+    def fingerprint(self, task: "RepairTask") -> str:  # noqa: F821
+        return task_fingerprint(
+            task,
+            strategy=self.meta["strategy"],
+            misrepair_budget=self.meta["misrepair_budget"],
+        )
+
+    def open(
+        self, tasks: "List[RepairTask]", *, resume: bool  # noqa: F821
+    ) -> Dict[int, "BatchItemResult"]:  # noqa: F821
+        """Replay the reusable results for *tasks*, or start afresh.
+
+        With ``resume`` an existing journal loses its torn tail and
+        replays every fingerprint-matching record (certified ones only
+        when the run certifies); otherwise it is replaced by a new
+        header.
+        """
+        fingerprints = [self.fingerprint(task) for task in tasks]
+        self._fingerprints = dict(enumerate(fingerprints))
+        meta = {"n_tasks": len(tasks), **self.meta}
+        if resume and self.exists():
+            self.truncate_torn_tail()
+            replayed, _ = self.load_completed(
+                tasks,
+                fingerprints,
+                expected_meta=meta,
+                require_certified=self.meta["certify"],
+            )
+            return replayed
+        if self.exists():
+            self.path.unlink()
+        self.write_header(**meta)
+        return {}
+
+    def record(self, result: "BatchItemResult", task: "RepairTask") -> None:  # noqa: F821
+        """Append *result* if it is :func:`journal_worthy`."""
+        if not journal_worthy(result, self.meta["certify"]):
+            return
+        if not self.exists():
+            # Streaming intake never opened the journal against a
+            # corpus, and the loader refuses headerless journals;
+            # n_tasks is unknowable mid-stream, so the header carries
+            # the dispatch settings only.
+            self.write_header(**self.meta)
+        fingerprint = self._fingerprints.get(result.index) or self.fingerprint(task)
+        self.append_result(result, fingerprint)
+
+    def write_pending(self, pending: Sequence[int]) -> None:
+        """Record admitted-but-unrun task indices in ``<journal>.pending``."""
+        Path(str(self.path) + ".pending").write_text(
+            json.dumps({"pending": list(pending)}, separators=(",", ":"))
+        )

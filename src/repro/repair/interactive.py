@@ -355,7 +355,13 @@ class ValidationLoop:
         )
         return True
 
-    def run(self) -> ValidationSession:
+    def run(self, first: Optional[RepairOutcome] = None) -> ValidationSession:
+        """Run the loop to acceptance (or failure / the iteration cap).
+
+        *first* is the engine's unpinned repair when the caller has
+        already solved it (the proposal it showed the operator); round
+        1 then reviews it instead of solving the same model again.
+        """
         pins: Dict[Cell, float] = {}
         pin_order: List[Cell] = []
         retracted: set = set()
@@ -367,7 +373,11 @@ class ValidationLoop:
         while iterations < self.max_iterations:
             iterations += 1
             try:
-                outcome = self.engine.find_card_minimal_repair(pins=pins)
+                outcome = (
+                    self.engine.find_card_minimal_repair(pins=pins)
+                    if first is None
+                    else first
+                )
             except UnrepairableError as error:
                 if self._handle_infeasible(
                     error, pins, pin_order, retracted, log
@@ -378,6 +388,7 @@ class ValidationLoop:
                     pins, log, iterations, values_inspected, retractions,
                     str(error),
                 )
+            first = None
             proposal = outcome.repair
             pending = [
                 u for u in proposal

@@ -1,12 +1,15 @@
-"""Long-running repair service: the batch engine, made into a daemon.
+"""Long-running repair service: the batch dispatcher, made into a daemon.
 
 ``repair_batch`` is a one-shot tool: it runs a corpus to completion and
 exits, paying full MILP cost for anything the previous invocation
 already solved.  A data-entry shop does not work in one shot -- it is a
 *service*: documents arrive continuously, duplicates are common across
 days, backends get sick and recover, deploys send SIGTERM mid-batch,
-and machines die without warning.  :class:`RepairService` wraps the
-existing engine in the machinery that setting needs:
+and machines die without warning.  :class:`RepairService` runs every
+task through ``repair_batch``'s dispatcher,
+:func:`~repro.repair.batch.execute_task` (same fallback, crash retries,
+solve cache and :class:`~repro.repair.checkpoint.RunJournal`), and
+adds the machinery that setting needs:
 
 - **durable result store** -- every service owns a
   :class:`~repro.repair.store.ResultStore` threaded into its solve
@@ -24,60 +27,56 @@ existing engine in the machinery that setting needs:
   (:data:`~repro.milp.solver.FALLBACK_BACKEND`) immediately instead of
   paying the failure repeatedly.  After a cooldown the breaker goes
   *half-open* and admits one probe: success re-closes it, failure
-  re-opens.  This layers on (never replaces) the per-task crash
-  retries with decorrelated-jitter backoff;
+  re-opens.  A breaker is charged only for backend faults
+  (:data:`~repro.repair.batch.BACKEND_FAULT_STATUSES`), never for an
+  honest verdict, and layers on (never replaces) the dispatcher's
+  per-backend crash retries with decorrelated-jitter backoff;
 - **health and readiness probes** -- :meth:`RepairService.health` /
   :meth:`RepairService.ready` expose queue depth, breaker states and
   store counters as plain dicts for an operator or an orchestrator's
-  probe endpoint;
+  probe endpoint.  :meth:`RepairService.result` hands each finished
+  ticket over once and then forgets it, so memory does not grow with
+  the number of tickets served;
 - **graceful drain** -- SIGTERM (see
   :meth:`RepairService.install_signal_handlers`) finishes the task in
   flight, journals it, writes the still-pending ticket indices to a
   ``<journal>.pending`` manifest, and stops.  Nothing is lost, nothing
   is half-done;
 - **crash recovery** -- a service restarted after ``kill -9`` replays
-  its checkpoint journal against the resubmitted corpus
-  (``require_certified=True``: an uncertified tail is re-solved, never
-  inherited) and the store makes the re-solves disk hits, so the
-  restarted run completes identically to an uninterrupted one.
+  its checkpoint journal against the resubmitted corpus (certified
+  repairs only: an uncertified tail is re-solved, never inherited) and
+  the store makes the re-solves disk hits, so the restarted run
+  completes identically to an uninterrupted one.
 
-The service is deliberately single-threaded between :meth:`submit` and
-:meth:`process_pending`: parallelism lives inside ``repair_batch``'s
-worker pool and below.  What this class adds is *lifecycle*, which is
-exactly the part a pool cannot own.
+The service is single-threaded and runs every task in its own process:
+there is no worker pool between :meth:`submit` and the solver, so a
+native crash inside a backend takes the service down with it (the
+sick-backend chaos fault only raises).  What this class adds is
+*lifecycle*: intake and admission, breakers, drain, and probes.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import signal
 import time
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Sequence
-
-from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.diagnostics import OverloadedError
-from repro.faultinject import FaultConfig, chaos_backend_dispatch
-from repro.milp.cache import DEFAULT_CACHE_SIZE, SolveCache
-from repro.milp.solver import DEFAULT_BACKEND, FALLBACK_BACKEND
+from repro.faultinject import FaultConfig
+from repro.milp.cache import DEFAULT_CACHE_SIZE
+from repro.milp.solver import DEFAULT_BACKEND
+from repro.repair.batch import BACKEND_FAULT_STATUSES  # noqa: F401 (re-export)
 from repro.repair.batch import (
     BatchItemResult,
     BatchReport,
     RepairTask,
     execute_task,
-    respawn_delay,
+    open_solve_cache,
 )
-from repro.repair.checkpoint import CheckpointJournal, task_fingerprint
-from repro.repair.store import ResultStore, StoreIntegrityReport
-
-#: Result statuses that count as the *backend's* fault for breaker
-#: accounting.  Input errors (invalid value, degenerate, malformed) and
-#: honest verdicts (unrepairable) say nothing about backend health and
-#: must not open a breaker.
-BACKEND_FAULT_STATUSES = frozenset({"crashed", "timeout", "error", "uncertified"})
+from repro.repair.checkpoint import RunJournal
+from repro.repair.store import StoreIntegrityReport
 
 #: Default intake queue high watermark.
 DEFAULT_MAX_PENDING = 256
@@ -123,22 +122,16 @@ class CircuitBreaker:
         """``"closed"`` | ``"open"`` | ``"half-open"``."""
         if self._opened_at is None:
             return "closed"
-        if self._probing:
-            return "half-open"
-        if self._clock() - self._opened_at >= self.cooldown:
-            return "half-open"
-        return "open"
+        return "half-open" if self._probing or not self.retry_after() else "open"
 
     def allow(self) -> bool:
         """May a dispatch proceed right now?  (May start a probe.)"""
         if self._opened_at is None:
             return True
-        if self._probing:
-            return False  # one probe at a time
-        if self._clock() - self._opened_at >= self.cooldown:
-            self._probing = True
-            return True
-        return False
+        if self._probing or self.retry_after():
+            return False  # one probe at a time; none before the cooldown
+        self._probing = True
+        return True
 
     def retry_after(self) -> float:
         """Seconds until the next dispatch could be admitted."""
@@ -214,23 +207,34 @@ class RepairService:
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
-        self.store: Optional[ResultStore] = (
-            ResultStore(config.store) if config.store is not None else None
+        self.cache, self.store = open_solve_cache(config.cache_size, config.store)
+        self.breakers: Dict[str, CircuitBreaker] = defaultdict(
+            lambda: CircuitBreaker(config.breaker_threshold, config.breaker_cooldown)
         )
-        self.cache = SolveCache(config.cache_size, store=self.store)
-        self.breakers: Dict[str, CircuitBreaker] = {}
+        #: The :func:`execute_task` settings every dispatch runs with.
+        self._dispatch: Dict[str, Any] = {
+            "default_backend": config.backend,
+            "timeout": config.timeout,
+            "on_infeasible": config.on_infeasible,
+            "strategy": config.strategy,
+            "misrepair_budget": config.misrepair_budget,
+            "certify": config.certify,
+            "fault_config": config.fault_config,
+            "max_task_retries": config.max_task_retries,
+            "retry_backoff": config.retry_backoff,
+        }
+        self._journal = (
+            None if config.checkpoint is None
+            else RunJournal(config.checkpoint, self._dispatch)
+        )
         self._queue: Deque[_Ticket] = deque()
         self._next_index = 0
-        self._results: Dict[int, BatchItemResult] = {}
+        #: Finished tickets not yet handed over by :meth:`result`.
+        self._finished: Dict[int, BatchItemResult] = {}
+        self._completed = 0
         self._intake_latencies: List[float] = []
         self._draining = False
         self._started = time.perf_counter()
-        self._journal: Optional[CheckpointJournal] = (
-            CheckpointJournal(config.checkpoint)
-            if config.checkpoint is not None
-            else None
-        )
-        self._fingerprints: Dict[int, str] = {}
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -301,8 +305,13 @@ class RepairService:
         return index
 
     def result(self, index: int) -> Optional[BatchItemResult]:
-        """The completed result for a ticket, or ``None`` if pending."""
-        return self._results.get(index)
+        """Hand over a finished ticket's result, once.
+
+        ``None`` while the ticket is pending -- and after its result
+        has been handed over: the service forgets what it delivered, so
+        its memory does not grow with the number of tickets served.
+        """
+        return self._finished.pop(index, None)
 
     def process_pending(self, max_tasks: Optional[int] = None) -> int:
         """Work the queue (up to *max_tasks*); returns tasks completed.
@@ -319,7 +328,7 @@ class RepairService:
                 time.perf_counter() - ticket.submitted_at
             )
             result = self._execute(ticket.task, ticket.index)
-            self._deliver(result, ticket.task)
+            self._finished[ticket.index] = result
             completed += 1
         return completed
 
@@ -334,158 +343,26 @@ class RepairService:
         self._draining = True
         pending = [ticket.index for ticket in self._queue]
         if self._journal is not None:
-            manifest = Path(str(self._journal.path) + ".pending")
-            manifest.write_text(
-                json.dumps({"pending": pending}, separators=(",", ":"))
-            )
+            self._journal.write_pending(pending)
         return pending
 
     # -- execution ---------------------------------------------------------
 
     def _breaker(self, backend: str) -> CircuitBreaker:
-        if backend not in self.breakers:
-            self.breakers[backend] = CircuitBreaker(
-                self.config.breaker_threshold, self.config.breaker_cooldown
-            )
         return self.breakers[backend]
 
-    def _candidates(self, task: RepairTask) -> List[str]:
-        primary = task.backend or self.config.backend
-        candidates = [primary]
-        fallback = FALLBACK_BACKEND.get(primary)
-        if fallback is not None and fallback != primary:
-            candidates.append(fallback)
-        return candidates
-
     def _execute(self, task: RepairTask, index: int) -> BatchItemResult:
-        """One task through breakers, crash retries and the fallback.
-
-        The service owns backend choice: each candidate backend (the
-        task's primary, then its fallback) is tried only if its breaker
-        admits the dispatch, with ``execute_task(retry_fallback=False)``
-        so the engine does not second-guess the routing.  A candidate
-        whose result is a backend fault (crash, timeout, error,
-        uncertified) trips its breaker and yields to the next; a
-        candidate that answers -- even "this task is unrepairable" --
-        records a success.  When every candidate's breaker is open the
-        task is refused as ``status="breaker_open"`` with the earliest
-        retry time, mirroring admission control: better an honest
-        refusal now than a guaranteed failure slowly.
-        """
-        cfg = self.config
-        # The task's own backend pin is consumed here, not inside
-        # execute_task, so breaker rerouting cannot be defeated by it.
-        routed = dataclasses.replace(task, backend=None)
-        skipped_open = []
-        last_result: Optional[BatchItemResult] = None
-        for candidate in self._candidates(task):
-            breaker = self._breaker(candidate)
-            if not breaker.allow():
-                skipped_open.append((candidate, breaker.retry_after()))
-                continue
-            crashes = 0
-            delay = cfg.retry_backoff
-            result: Optional[BatchItemResult] = None
-            while True:
-                try:
-                    chaos_backend_dispatch(
-                        cfg.fault_config, candidate, index, crashes
-                    )
-                    result = execute_task(
-                        routed,
-                        index,
-                        default_backend=candidate,
-                        timeout=cfg.timeout,
-                        retry_fallback=False,
-                        cache=self.cache,
-                        on_infeasible=cfg.on_infeasible,
-                        strategy=cfg.strategy,
-                        misrepair_budget=cfg.misrepair_budget,
-                        certify=cfg.certify,
-                    )
-                    result.attempts = crashes + 1
-                    break
-                except Exception as crash:
-                    crashes += 1
-                    if crashes > cfg.max_task_retries:
-                        result = BatchItemResult(
-                            index=index,
-                            name=task.name,
-                            status="crashed",
-                            backend_used=candidate,
-                            attempts=crashes,
-                            error=str(crash),
-                        )
-                        break
-                    delay = respawn_delay(cfg.retry_backoff, delay)
-                    if delay > 0:
-                        time.sleep(delay)
-            if result.status in BACKEND_FAULT_STATUSES:
-                breaker.record_failure()
-                last_result = result
-                continue
-            breaker.record_success()
-            if last_result is not None and last_result.status in BACKEND_FAULT_STATUSES:
-                result.fallback_taken = True
-            return result
-        if last_result is not None:
-            # Every admitted candidate failed; report the last failure.
-            return last_result
-        retry_after = min(
-            (after for _, after in skipped_open), default=cfg.breaker_cooldown
+        """Dispatch one task through the breakers and deliver it."""
+        result = execute_task(
+            task, index, cache=self.cache, breakers=self.breakers, **self._dispatch
         )
-        names = ", ".join(name for name, _ in skipped_open)
-        return BatchItemResult(
-            index=index,
-            name=task.name,
-            status="breaker_open",
-            error=(
-                f"all eligible backends have open breakers ({names}); "
-                f"retry in {retry_after:.1f}s"
-            ),
-        )
-
-    def _config_header_meta(self) -> Dict[str, object]:
-        return {
-            "backend": self.config.backend,
-            "timeout": self.config.timeout,
-            "on_infeasible": self.config.on_infeasible,
-            "strategy": self.config.strategy,
-            "misrepair_budget": self.config.misrepair_budget,
-            "certify": self.config.certify,
-        }
+        self._deliver(result, task)
+        return result
 
     def _deliver(self, result: BatchItemResult, task: RepairTask) -> None:
-        # Same certification hygiene as repair_batch: uncertified or
-        # ladder-degraded answers are never journalled, so a restart
-        # re-solves them instead of inheriting them.
-        journal_worthy = not (
-            self.config.certify
-            and (
-                result.status == "uncertified"
-                or result.certified is False
-                or any(s.degraded for s in result.stats)
-            )
-        )
-        if self._journal is not None and journal_worthy and result.status not in (
-            "breaker_open",
-            "overloaded",
-        ):
-            if not self._journal.exists():
-                # Streaming intake reaches here without run() ever
-                # writing a header; the loader refuses headerless
-                # journals.  n_tasks is unknowable mid-stream, so the
-                # header carries config meta only.
-                self._journal.write_header(**self._config_header_meta())
-            fingerprint = self._fingerprints.get(result.index)
-            if fingerprint is None:
-                fingerprint = task_fingerprint(
-                    task,
-                    strategy=self.config.strategy,
-                    misrepair_budget=self.config.misrepair_budget,
-                )
-            self._journal.append_result(result, fingerprint)
-        self._results[result.index] = result
+        if self._journal is not None:
+            self._journal.record(result, task)
+        self._completed += 1
 
     # -- batch-style entry point -------------------------------------------
 
@@ -494,68 +371,35 @@ class RepairService:
 
         With a journal configured and ``resume=True``, completed tasks
         from a previous (possibly killed) incarnation are replayed --
-        with ``require_certified=True``, so an uncertified tail is
-        re-solved rather than inherited -- and only the remainder is
-        executed.  The store then turns most of those re-solves into
-        disk hits, which is what makes restart-and-complete cheap.
-        A drain request stops the loop between tasks; the report then
-        covers only the delivered prefix and :meth:`drain` has recorded
+        certified repairs only, so an uncertified tail is re-solved
+        rather than inherited -- and only the remainder is executed.
+        The store then turns most of those re-solves into disk hits,
+        which is what makes restart-and-complete cheap.  A drain
+        request stops the loop between tasks; the report then covers
+        only the delivered prefix and the ``.pending`` manifest records
         the rest.
         """
         task_list = list(tasks)
         started = time.perf_counter()
-        header_meta = {"n_tasks": len(task_list), **self._config_header_meta()}
-        fingerprints = [
-            task_fingerprint(
-                task,
-                strategy=self.config.strategy,
-                misrepair_budget=self.config.misrepair_budget,
-            )
-            for task in task_list
-        ]
-        self._fingerprints = dict(enumerate(fingerprints))
-        replayed: Dict[int, BatchItemResult] = {}
+        results: Dict[int, BatchItemResult] = {}
         if self._journal is not None:
-            if self._journal.exists() and resume:
-                self._journal.truncate_torn_tail()
-                replayed, _ = self._journal.load_completed(
-                    task_list,
-                    fingerprints,
-                    expected_meta=header_meta,
-                    require_certified=self.config.certify,
-                )
-            else:
-                if self._journal.exists():
-                    self._journal.path.unlink()
-                self._journal.write_header(**header_meta)
-        self._results.update(replayed)
+            results = self._journal.open(task_list, resume=resume)
+        self._completed += len(results)
         for index, task in enumerate(task_list):
-            if index in self._results:
+            if index in results:
                 continue
             if self._draining:
                 break
             ticket_start = time.perf_counter()
-            result = self._execute(task, index)
+            results[index] = self._execute(task, index)
             self._intake_latencies.append(time.perf_counter() - ticket_start)
-            self._deliver(result, task)
         self._next_index = max(self._next_index, len(task_list))
         if self._draining and self._journal is not None:
-            manifest = Path(str(self._journal.path) + ".pending")
-            pending = [
-                index
-                for index in range(len(task_list))
-                if index not in self._results
-            ]
-            manifest.write_text(
-                json.dumps({"pending": pending}, separators=(",", ":"))
+            self._journal.write_pending(
+                [index for index in range(len(task_list)) if index not in results]
             )
-        delivered = [
-            self._results[index]
-            for index in range(len(task_list))
-            if index in self._results
-        ]
         return BatchReport(
-            results=delivered,
+            results=[results[index] for index in sorted(results)],
             wall_time=time.perf_counter() - started,
             workers=0,
             cache_size=self.config.cache_size,
@@ -578,18 +422,18 @@ class RepairService:
 
     def health(self) -> Dict[str, object]:
         """Liveness probe payload: what the service is doing right now."""
-        cache_info = self.cache.info()
+        cache_info = None if self.cache is None else self.cache.info()
         return {
             "status": "draining" if self._draining else "ok",
             "uptime": time.perf_counter() - self._started,
             "pending": len(self._queue),
-            "completed": len(self._results),
+            "completed": self._completed,
             "max_pending": self.config.max_pending,
             "breakers": {
                 backend: breaker.state
                 for backend, breaker in sorted(self.breakers.items())
             },
-            "cache": {
+            "cache": None if cache_info is None else {
                 "hits": cache_info.hits,
                 "misses": cache_info.misses,
                 "store_hits": cache_info.store_hits,

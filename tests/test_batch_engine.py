@@ -176,24 +176,6 @@ def test_fallback_on_primary_backend_error(corpus, monkeypatch):
     assert str(result.repair) == str(reference.repair)
 
 
-def test_no_fallback_when_disabled(corpus, monkeypatch):
-    workload, databases = corpus
-
-    def explode(model, **kw):
-        raise RuntimeError("injected backend crash")
-
-    monkeypatch.setitem(solver_module._BACKENDS, "scipy", explode)
-    result = execute_task(
-        RepairTask(databases[0], workload.constraints),
-        0,
-        default_backend="scipy",
-        retry_fallback=False,
-    )
-    assert result.status == "error"
-    assert not result.fallback_taken
-    assert "injected backend crash" in result.error
-
-
 def test_timeout_triggers_fallback(corpus, monkeypatch):
     """A primary backend that cooperatively exhausts its budget is
     abandoned and retried on the alternate backend with a fresh one.

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import signal
+
 import pytest
 
 from repro.cli import main
@@ -200,6 +202,27 @@ class TestInfeasibilityForensics:
         ) == 0
         out = capsys.readouterr().out
         assert "repaired" in out
+
+
+class TestServe:
+    @pytest.fixture(autouse=True)
+    def _restore_signal_handlers(self):
+        # serve installs SIGTERM/SIGINT drain handlers in this process.
+        signals = (signal.SIGTERM, signal.SIGINT)
+        previous = {sig: signal.getsignal(sig) for sig in signals}
+        yield
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+
+    def test_serve_prints_the_batch_result_lines(self, project, tmp_path, capsys):
+        assert main(["batch", str(project)]) == 0
+        batch_line = capsys.readouterr().out.splitlines()[0]
+        journal = tmp_path / "serve.journal"
+        assert main(["serve", str(project), "--checkpoint", str(journal)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == batch_line
+        assert main(["serve", str(project), "--checkpoint", str(journal)]) == 0
+        resumed_line = capsys.readouterr().out.splitlines()[0]
+        assert resumed_line == batch_line + " [resumed from checkpoint]"
 
 
 class TestAnswers:

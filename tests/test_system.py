@@ -109,3 +109,34 @@ class TestNoisyPipeline:
         assert string_errors
         # All string damage is absorbed by the wrapper's msi binding.
         assert session.final_database == workload.ground_truth
+
+
+class TestFirstSolveReuse:
+    def test_interactive_process_solves_the_first_milp_once(self):
+        """Validation round 1 reviews the proposal ``process`` already
+        solved: one solve record fewer than a loop that re-solves it,
+        and the same session."""
+        from repro.repair.engine import RepairEngine
+        from repro.repair.interactive import OracleOperator, ValidationLoop
+
+        workload = generate_cash_budget(n_years=2, seed=7)
+        scenario = cash_budget_scenario(workload)
+        channel = OcrChannel(numeric_error_rate=0.08, string_error_rate=0.1, seed=42)
+        session = DartSystem(scenario, ocr_channel=channel).process()
+
+        database = session.acquired_database
+        engine = RepairEngine(database, scenario.constraints)
+        proposal = engine.find_card_minimal_repair().repair
+        standalone = ValidationLoop(
+            engine, OracleOperator(scenario.ground_truth, acquired=database)
+        ).run()
+
+        assert len(session.solve_stats) == len(engine.solve_stats) - 1
+        assert str(session.proposed_repair) == str(proposal)
+        validation = session.validation
+        assert validation.render_transcript() == standalone.render_transcript()
+        assert (validation.iterations, validation.values_inspected) == (
+            standalone.iterations, standalone.values_inspected
+        )
+        assert str(validation.accepted_repair) == str(standalone.accepted_repair)
+        assert session.final_database == standalone.repaired_database
