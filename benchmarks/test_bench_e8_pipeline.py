@@ -10,8 +10,7 @@ wall-clock and end-to-end recovery.
 
 Reported series (shape targets):
 
-- stage times grow roughly linearly with the document (the wrapper
-  dominates: similarity search over the lexical dictionaries);
+- stage times grow roughly linearly with the document;
 - recovery stays at 1.0: the supervised loop is sound at every size;
 - operator inspections stay proportional to the injected error count,
   not to the document size -- the paper's economic argument survives

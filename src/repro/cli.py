@@ -46,6 +46,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
@@ -341,8 +342,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_task_retries=args.max_task_retries,
     )
     with RepairService(config) as service:
-        service.install_signal_handlers()
-        report = service.run(tasks, resume=not args.no_resume)
+        previous_handlers = service.install_signal_handlers()
+        try:
+            report = service.run(tasks, resume=not args.no_resume)
+        finally:
+            # Drain on SIGTERM only while this service runs: a caller
+            # in the same process gets its own handlers back.
+            for signum, handler in previous_handlers.items():
+                signal.signal(signum, handler)
         _print_results(report, show_stats=False)
         health = service.health()
         print(report.summary())

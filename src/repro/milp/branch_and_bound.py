@@ -261,7 +261,11 @@ def solve_branch_and_bound(
       repair heuristic) used as the initial upper bound so pruning
       starts at node 1.  Infeasible seeds are silently ignored;
     - ``cuts`` -- Gomory + cover rounds at the root and a node-scoped
-      cover-cut pool keyed by fixed-variable sets.
+      cover-cut pool keyed by fixed-variable sets.  A root relaxation
+      that is infeasible only with the root cut rows added is not
+      taken as proof: the search runs again without root cuts, in what
+      is left of the deadline, and reports the number of rows dropped
+      as ``stats["root_cuts_dropped"]``.
 
     With ``lp_backend="simplex"`` every child node is re-solved from
     its parent's basis by dual simplex; a child whose warm re-solve
@@ -359,6 +363,7 @@ def solve_branch_and_bound(
     lp_iterations = 0
     cuts_rejected = 0
     numeric_drift = 0.0
+    root_cut_rows = 0
     if cuts:
         mark = time.perf_counter()
         # The seeded incumbent doubles as the exact-arithmetic witness
@@ -374,6 +379,7 @@ def solve_branch_and_bound(
         lp_iterations += cut_result.lp_iterations
         if cut_result.cuts:
             work = cut_result.arrays
+            root_cut_rows = len(cut_result.cuts)
         pool = CutPool()
 
     # ------------------------------------------------------------------
@@ -493,6 +499,25 @@ def solve_branch_and_bound(
         )
 
     if root.status == "infeasible":
+        if root_cut_rows:
+            # The relaxation was feasible before the cut loop added
+            # rows, so the cuts did this: an invalid cut, or cut rows
+            # that left the LP too ill-conditioned to solve.  Neither
+            # proves infeasibility; search again without root cuts,
+            # inside what is left of the deadline.
+            retry = solve_branch_and_bound(
+                model,
+                lp_backend=lp_backend,
+                max_nodes=max_nodes,
+                gap_tolerance=gap_tolerance,
+                presolve=presolve,
+                pricing=pricing,
+                incumbent=incumbent,
+                time_limit=deadline.remaining(),
+                cuts=False,
+            )
+            retry.stats["root_cuts_dropped"] = float(root_cut_rows)
+            return retry
         # A feasible seed contradicts an infeasible relaxation only
         # through numerics; trust the relaxation as before.
         return finish(SolveStatus.INFEASIBLE)

@@ -87,6 +87,10 @@ DEFAULT_BREAKER_THRESHOLD = 3
 #: Default seconds an open breaker waits before a half-open probe.
 DEFAULT_BREAKER_COOLDOWN = 30.0
 
+#: Intake latencies the health quantiles are taken over: the most
+#: recent ones only, so memory does not grow with requests served.
+INTAKE_LATENCY_WINDOW = 4096
+
 
 class CircuitBreaker:
     """Closed / open / half-open dispatch gate for one backend.
@@ -232,7 +236,7 @@ class RepairService:
         #: Finished tickets not yet handed over by :meth:`result`.
         self._finished: Dict[int, BatchItemResult] = {}
         self._completed = 0
-        self._intake_latencies: List[float] = []
+        self._intake_latencies: Deque[float] = deque(maxlen=INTAKE_LATENCY_WINDOW)
         self._draining = False
         self._started = time.perf_counter()
         self._closed = False
@@ -252,20 +256,24 @@ class RepairService:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def install_signal_handlers(self) -> None:
+    def install_signal_handlers(self) -> Dict[int, Any]:
         """SIGTERM / SIGINT request a graceful drain, not an abort.
 
         The handler only flips a flag; the processing loop notices it
         *between* tasks, so the task in flight always finishes and is
         journalled before the service stops.  Call from the main
-        thread only (a CPython ``signal`` restriction).
+        thread only (a CPython ``signal`` restriction).  Returns the
+        handlers it replaced, by signal number, for the caller to put
+        back with ``signal.signal`` when the service is done.
         """
 
         def _request_drain(signum: int, frame: object) -> None:  # noqa: ARG001
             self._draining = True
 
-        signal.signal(signal.SIGTERM, _request_drain)
-        signal.signal(signal.SIGINT, _request_drain)
+        return {
+            signum: signal.signal(signum, _request_drain)
+            for signum in (signal.SIGTERM, signal.SIGINT)
+        }
 
     def request_drain(self) -> None:
         """Programmatic equivalent of receiving SIGTERM."""
@@ -411,18 +419,26 @@ class RepairService:
     # -- observability -----------------------------------------------------
 
     def intake_latency(self, quantile: float) -> float:
-        """The *quantile* (0..1) of observed intake latencies, seconds."""
+        """The *quantile* (0..1) of recent intake latencies, seconds.
+
+        Taken over the last :data:`INTAKE_LATENCY_WINDOW` requests.
+        """
+        return self._intake_quantiles(quantile)[0]
+
+    def _intake_quantiles(self, *quantiles: float) -> List[float]:
         if not self._intake_latencies:
-            return 0.0
+            return [0.0] * len(quantiles)
         ordered = sorted(self._intake_latencies)
-        position = min(
-            len(ordered) - 1, max(0, int(round(quantile * (len(ordered) - 1))))
-        )
-        return ordered[position]
+        last = len(ordered) - 1
+        return [
+            ordered[min(last, max(0, int(round(quantile * last))))]
+            for quantile in quantiles
+        ]
 
     def health(self) -> Dict[str, object]:
         """Liveness probe payload: what the service is doing right now."""
         cache_info = None if self.cache is None else self.cache.info()
+        intake_p50, intake_p99 = self._intake_quantiles(0.50, 0.99)
         return {
             "status": "draining" if self._draining else "ok",
             "uptime": time.perf_counter() - self._started,
@@ -439,8 +455,8 @@ class RepairService:
                 "store_hits": cache_info.store_hits,
             },
             "store": None if self.store is None else self.store.info().as_dict(),
-            "intake_p50": self.intake_latency(0.50),
-            "intake_p99": self.intake_latency(0.99),
+            "intake_p50": intake_p50,
+            "intake_p99": intake_p99,
         }
 
     def ready(self) -> Dict[str, object]:

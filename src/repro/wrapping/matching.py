@@ -16,6 +16,34 @@ OCR misreading "bgnning cesh" of "beginning cash" the distance is 3
 over combined length 26, giving a score of ~0.885 -- the "90%" cell
 score of Figure 7(b) (an exact match scores 100%).
 
+The distance is computed bit-parallel (Myers 1999, in Hyyrö's 2003
+form for the global Levenshtein distance): one DP column per character
+of the longer string, the whole column held as two delta bit-vectors
+in Python ints, so a comparison costs a dozen integer operations per
+character instead of a Python-level inner loop.  It is the same
+distance the textbook DP computes, exactly.
+
+The msi search keeps the first best item in sorted order, and skips
+only work that cannot change that answer:
+
+- a text equal (case-blind) to an item scores 1.0, the maximum, so
+  the first such item is the answer; a per-dictionary lookup finds it
+  without a scan;
+- once an incumbent with score ``best`` exists, a later item of
+  combined length ``total`` replaces it only with a distance
+  ``d < total * (1 - best)``, i.e. ``d <= budget = floor(total *
+  (1 - best))``.  An item whose length differs from the text's by more
+  than the budget is skipped without a distance call
+  (``|len(a) - len(b)|`` bounds the distance from below); otherwise
+  the distance is asked with ``upper_bound=budget`` and answers
+  ``budget + 1`` for anything beyond it.  That value is at least
+  ``total * (1 - best)``, and floating-point division and subtraction
+  are monotone, so its score is at most ``best``: it never replaces
+  the incumbent (a tie does not).
+
+Lexical domains sort and lower-case their items once
+(:class:`Lexicon`), and the wrapper memoises msi answers per document.
+
 Row scores combine cell scores with a *t-norm* (the paper leaves the
 choice open; the A3 ablation bench compares them):
 
@@ -27,47 +55,62 @@ choice open; the A3 ablation bench compares them):
 from __future__ import annotations
 
 import enum
-import functools
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple as PyTuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple as PyTuple
 
 
 def levenshtein(a: str, b: str, upper_bound: Optional[int] = None) -> int:
-    """Classic edit distance (substitution, insertion, deletion = 1).
+    """Edit distance (substitution, insertion, deletion = 1).
 
-    With *upper_bound* the computation stops early once the distance
-    provably exceeds it and returns ``upper_bound + 1`` -- the msi
-    search uses this to skip hopeless dictionary items without
+    Bit-parallel: Myers' vector recurrence in Hyyrö's form for the
+    global distance, one column of the DP per character of the longer
+    string, the shorter one held as per-character bitmasks in a Python
+    int (so no length limit).
+
+    With *upper_bound* the result is the exact distance when it is at
+    most ``upper_bound`` and exactly ``upper_bound + 1`` otherwise --
+    the msi search uses this to skip hopeless dictionary items without
     changing any result.
     """
     if a == b:
         return 0
+    if len(a) > len(b):
+        a, b = b, a
+    if upper_bound is not None and len(b) - len(a) > upper_bound:
+        return upper_bound + 1
     if not a:
         return len(b)
-    if not b:
-        return len(a)
-    if len(a) < len(b):
-        a, b = b, a
-    if upper_bound is not None and len(a) - len(b) > upper_bound:
+    # peq[c]: bit i set iff a[i] == c.  pv / mv: positive / negative
+    # vertical deltas of the current column; score: its last cell.
+    peq: Dict[str, int] = {}
+    bit = 1
+    for char in a:
+        peq[char] = peq.get(char, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv = mask
+    mv = 0
+    score = len(a)
+    for char in b:
+        eq = peq.get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # The top row is 0, 1, 2, ...: a +1 horizontal delta enters
+        # at bit 0 of every column (global, not substring, distance).
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    if upper_bound is not None and score > upper_bound:
         return upper_bound + 1
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        row_minimum = i
-        for j, char_b in enumerate(b, start=1):
-            cost = 0 if char_a == char_b else 1
-            value = min(
-                previous[j] + 1,      # deletion
-                current[j - 1] + 1,   # insertion
-                previous[j - 1] + cost,  # substitution
-            )
-            current.append(value)
-            if value < row_minimum:
-                row_minimum = value
-        if upper_bound is not None and row_minimum > upper_bound:
-            return upper_bound + 1
-        previous = current
-    return previous[-1]
+    return score
 
 
 def similarity(a: str, b: str, *, case_sensitive: bool = False) -> float:
@@ -77,6 +120,30 @@ def similarity(a: str, b: str, *, case_sensitive: bool = False) -> float:
     if not a and not b:
         return 1.0
     return 1.0 - levenshtein(a, b) / (len(a) + len(b))
+
+
+class Lexicon(tuple):
+    """Dictionary items prepared once for msi search.
+
+    A sorted tuple of the items (so iteration order is the msi
+    tie-break order) that also carries their lower-cased forms and,
+    per lower-cased form, the first item that has it (the exact-hit
+    index).  A lexical domain builds one at construction;
+    :func:`most_similar_item` builds one per call from any other
+    sequence.
+    """
+
+    lowered: PyTuple[str, ...]
+    #: lower-cased form -> the first item (in sorted order) that has it
+    exact: Dict[str, str]
+
+    def __new__(cls, items: Iterable[str]) -> "Lexicon":
+        lexicon = super().__new__(cls, sorted(items))
+        lexicon.lowered = tuple(item.lower() for item in lexicon)
+        lexicon.exact = {}
+        for item, lowered in zip(lexicon, lexicon.lowered):
+            lexicon.exact.setdefault(lowered, item)
+        return lexicon
 
 
 def most_similar_item(
@@ -89,27 +156,31 @@ def most_similar_item(
 
     Returns ``(None, best_score)`` when nothing reaches
     ``minimum_score``.  Ties break toward the lexicographically first
-    item for determinism.
+    item for determinism.  *items* may be any sequence; a
+    :class:`Lexicon` is searched as is, anything else is prepared first.
     """
+    lexicon = items if isinstance(items, Lexicon) else Lexicon(items)
     normalized = text.lower()
-    best_item: Optional[str] = None
+    best_item = lexicon.exact.get(normalized)
+    if best_item is not None:
+        # Score 1.0 is the maximum; the scan would keep the first
+        # item reaching it, which ``exact`` records.
+        return (best_item, 1.0) if minimum_score <= 1.0 else (None, 1.0)
+    length = len(normalized)
     best_score = -1.0
-    for item in sorted(items):
-        candidate = item.lower()
-        total_length = len(normalized) + len(candidate)
-        if total_length == 0:
-            score = 1.0
+    for item, candidate in zip(lexicon, lexicon.lowered):
+        # Never 0: an item equal to the text was an exact hit above.
+        total_length = length + len(candidate)
+        if best_score > 0.0:
+            # Prune (exact, see the module docstring): beating the
+            # incumbent needs d < total*(1-best), i.e. d <= budget.
+            budget = int(total_length * (1.0 - best_score))
+            if abs(length - len(candidate)) > budget:
+                continue
+            distance = levenshtein(normalized, candidate, upper_bound=budget)
         else:
-            if best_score > 0.0:
-                # Prune: sim = 1 - d/total needs d < total*(1-best) to
-                # beat the incumbent; the banded distance bails out as
-                # soon as that becomes impossible.  Exact -- only the
-                # work is skipped, never a better match.
-                budget = int(total_length * (1.0 - best_score))
-                distance = levenshtein(normalized, candidate, upper_bound=budget)
-            else:
-                distance = levenshtein(normalized, candidate)
-            score = 1.0 - distance / total_length
+            distance = levenshtein(normalized, candidate)
+        score = 1.0 - distance / total_length
         if score > best_score:
             best_item = item
             best_score = score

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple as PyTuple
 
 from repro.relational.schema import DatabaseSchema
+from repro.wrapping.matching import Lexicon
 
 
 class MetadataError(ValueError):
@@ -37,18 +38,18 @@ class DomainDescription:
 
     name: str
     items: FrozenSet[str]
+    #: the items sorted and lower-cased once, for the wrapper's msi search
+    lexicon: Lexicon = field(init=False, repr=False, compare=False)
 
     def __init__(self, name: str, items: Iterable[str]) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "items", frozenset(items))
         if not self.items:
             raise MetadataError(f"lexical domain {name!r} has no items")
+        object.__setattr__(self, "lexicon", Lexicon(self.items))
 
     def __contains__(self, text: str) -> bool:
         return text in self.items
-
-    def sorted_items(self) -> List[str]:
-        return sorted(self.items)
 
 
 class HierarchyGraph:

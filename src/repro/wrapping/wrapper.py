@@ -29,9 +29,13 @@ from typing import Dict, List, Optional, Sequence, Tuple as PyTuple
 
 from repro.acquisition.documents import Table
 from repro.wrapping.html import parse_html_tables
-from repro.wrapping.matching import TNorm, most_similar_item, similarity
+from repro.wrapping.matching import TNorm, most_similar_item
 from repro.wrapping.metadata import ExtractionMetadata
 from repro.wrapping.patterns import LexicalCell, RowPattern, StandardCell, StandardDomain
+
+
+#: (domain name, required ancestor or None, cell text) -> (bound, score)
+_MsiMemo = Dict[PyTuple[str, Optional[str], str], PyTuple[str, float]]
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,10 @@ class Wrapper:
         instances: List[RowPatternInstance] = []
         unmatched: List[UnmatchedRow] = []
         selector = self.metadata.table_selector
+        # Every pattern of a row's arity asks for the msi of the same
+        # cells: answers are memoised for this call only, so a later
+        # call sees any change to the metadata's hierarchy.
+        memo: _MsiMemo = {}
         for table_index, table in enumerate(tables):
             if selector is not None and not selector.selects(
                 table_index, table.caption
@@ -138,7 +146,9 @@ class Wrapper:
                 for pattern in self.metadata.row_patterns:
                     if pattern.arity != len(texts):
                         continue
-                    candidate = self._match_row(pattern, texts, table_index, row_index)
+                    candidate = self._match_row(
+                        pattern, texts, table_index, row_index, memo
+                    )
                     if candidate.score > best_score or best is None:
                         if best is None or candidate.score > best_score:
                             best = candidate
@@ -161,11 +171,12 @@ class Wrapper:
         texts: Sequence[str],
         table_index: int,
         row_index: int,
+        memo: _MsiMemo,
     ) -> RowPatternInstance:
         # First pass: independent cell matches.
         matches: List[CellMatch] = []
         for cell_pattern, text in zip(pattern.cells, texts):
-            matches.append(self._match_cell(cell_pattern, text))
+            matches.append(self._match_cell(cell_pattern, text, memo))
         # Second pass: enforce hierarchy requirements (footnote 4: the
         # bound item must also satisfy the pattern's hierarchy edges).
         for index, cell_pattern in enumerate(pattern.cells):
@@ -179,7 +190,7 @@ class Wrapper:
             if self.metadata.hierarchy.is_specialization(bound, target_value):
                 continue
             matches[index] = self._constrained_lexical_match(
-                cell_pattern, texts[index], target_value
+                cell_pattern, texts[index], target_value, memo
             )
         score = self.t_norm.combine(m.score for m in matches)
         return RowPatternInstance(
@@ -190,31 +201,41 @@ class Wrapper:
             row_index=row_index,
         )
 
-    def _match_cell(self, cell_pattern: object, text: str) -> CellMatch:
+    def _match_cell(
+        self, cell_pattern: object, text: str, memo: _MsiMemo
+    ) -> CellMatch:
         if isinstance(cell_pattern, StandardCell):
             score, bound = self._match_standard(cell_pattern.domain, text)
             return CellMatch(text, bound, score, cell_pattern.headline)
         assert isinstance(cell_pattern, LexicalCell)
-        domain = self.metadata.domain(cell_pattern.domain_name)
-        item, score = most_similar_item(text, domain.sorted_items())
-        bound = item if item is not None else text
+        key = (cell_pattern.domain_name, None, text)
+        if key not in memo:
+            domain = self.metadata.domain(cell_pattern.domain_name)
+            item, score = most_similar_item(text, domain.lexicon)
+            memo[key] = (item if item is not None else text, score)
+        bound, score = memo[key]
         return CellMatch(text, bound, score, cell_pattern.headline)
 
     def _constrained_lexical_match(
-        self, cell_pattern: LexicalCell, text: str, ancestor: str
+        self, cell_pattern: LexicalCell, text: str, ancestor: str, memo: _MsiMemo
     ) -> CellMatch:
         """msi restricted to items that specialise *ancestor*."""
-        domain = self.metadata.domain(cell_pattern.domain_name)
-        valid = [
-            item
-            for item in domain.sorted_items()
-            if self.metadata.hierarchy.is_specialization(item, ancestor)
-        ]
-        if not valid:
-            return CellMatch(text, text, 0.0, cell_pattern.headline)
-        item, score = most_similar_item(text, valid)
-        assert item is not None
-        return CellMatch(text, item, score, cell_pattern.headline)
+        key = (cell_pattern.domain_name, ancestor, text)
+        if key not in memo:
+            domain = self.metadata.domain(cell_pattern.domain_name)
+            valid = [
+                item
+                for item in domain.lexicon
+                if self.metadata.hierarchy.is_specialization(item, ancestor)
+            ]
+            if valid:
+                item, score = most_similar_item(text, valid)
+                assert item is not None
+                memo[key] = (item, score)
+            else:
+                memo[key] = (text, 0.0)
+        bound, score = memo[key]
+        return CellMatch(text, bound, score, cell_pattern.headline)
 
     @staticmethod
     def _match_standard(domain: StandardDomain, text: str) -> PyTuple[float, str]:

@@ -50,6 +50,39 @@ class TestSearchBehaviour:
         assert solution.stats["nodes"] == 1.0
         assert solution.stats["cut_rounds"] >= 1.0
 
+    @pytest.mark.parametrize("lp_backend", ["simplex", "scipy"])
+    def test_root_infeasible_only_after_cuts_is_searched_again(
+        self, lp_backend, monkeypatch
+    ):
+        # A cut that excludes every integer point (x >= 11 with x <= 10)
+        # stands for a Gomory row that numerics made invalid.
+        import repro.milp.branch_and_bound as bnb
+        from repro.milp.cuts import Cut
+
+        original = bnb.root_cut_loop
+
+        def poisoned(arrays, **kwargs):
+            result = original(arrays, **kwargs)
+            cut = Cut(((0, -1.0),), -11.0, "gomory")
+            result.arrays = result.arrays.with_extra_ub_rows(
+                [cut.as_row_dict()], [cut.rhs]
+            )
+            result.cuts.append(cut)
+            return result
+
+        monkeypatch.setattr(bnb, "root_cut_loop", poisoned)
+        model = MILPModel("poisoned")
+        x = model.add_variable("x", VarType.INTEGER, lower=0, upper=10)
+        model.add_constraint(2 * x <= 7)
+        model.set_objective(-x)
+        solution = solve_branch_and_bound(
+            model, lp_backend=lp_backend, presolve=False, time_limit=30.0
+        )
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == pytest.approx(-3.0)
+        assert solution.stats["root_cuts_dropped"] >= 1.0
+        assert "cut_rounds" not in solution.stats  # the re-solve ran uncut
+
     def test_unbounded_root(self):
         model = MILPModel("unb")
         x = model.add_variable("x", VarType.INTEGER)

@@ -205,15 +205,6 @@ class TestInfeasibilityForensics:
 
 
 class TestServe:
-    @pytest.fixture(autouse=True)
-    def _restore_signal_handlers(self):
-        # serve installs SIGTERM/SIGINT drain handlers in this process.
-        signals = (signal.SIGTERM, signal.SIGINT)
-        previous = {sig: signal.getsignal(sig) for sig in signals}
-        yield
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-
     def test_serve_prints_the_batch_result_lines(self, project, tmp_path, capsys):
         assert main(["batch", str(project)]) == 0
         batch_line = capsys.readouterr().out.splitlines()[0]
@@ -223,6 +214,13 @@ class TestServe:
         assert main(["serve", str(project), "--checkpoint", str(journal)]) == 0
         resumed_line = capsys.readouterr().out.splitlines()[0]
         assert resumed_line == batch_line + " [resumed from checkpoint]"
+
+    def test_serve_restores_signal_handlers(self, project):
+        # serve drains on SIGTERM/SIGINT while it runs, and only then.
+        signals = (signal.SIGTERM, signal.SIGINT)
+        before = {sig: signal.getsignal(sig) for sig in signals}
+        assert main(["serve", str(project)]) == 0
+        assert {sig: signal.getsignal(sig) for sig in signals} == before
 
 
 class TestAnswers:

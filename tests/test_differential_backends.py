@@ -258,6 +258,22 @@ def test_randomized_pin_conflicts_agree_across_backends(seed):
     )
 
 
+#: The pinned-seed lane (``REPRO_TEST_SEED=20260805``) reaches this
+#: model: a root Gomory round on ``bnb-simplex`` empties the relaxation
+#: of a model whose optimum is 2.  Pinned here so it runs in every lane.
+ROOT_CUT_REGRESSION_SEED = 20260823
+
+
+def test_invalid_root_cuts_do_not_make_a_feasible_model_infeasible():
+    model = random_grounded_milp(ROOT_CUT_REGRESSION_SEED)
+    for name in ALL_BACKENDS:
+        solution = solve(model, backend=name)
+        assert solution.status is SolveStatus.OPTIMAL, name
+        assert solution.objective == pytest.approx(2.0, abs=TOL), name
+        assignment = [solution.values[v.name] for v in model.variables]
+        assert model.check_feasible(assignment), name
+
+
 def test_known_degenerate_tie_agrees():
     """Two symmetric optima with equal objective: backends may pick
     different supports but must report the same objective value."""

@@ -29,8 +29,10 @@ class TestDomainDescription:
             DomainDescription("Empty", [])
 
     def test_sorted_items(self):
-        domain = DomainDescription("D", ["b", "a"])
-        assert domain.sorted_items() == ["a", "b"]
+        domain = DomainDescription("D", ["b", "A", "a"])
+        assert list(domain.lexicon) == ["A", "a", "b"]
+        assert domain.lexicon.lowered == ("a", "a", "b")
+        assert domain.lexicon.exact == {"a": "A", "b": "b"}
 
 
 class TestHierarchyGraph:

@@ -27,6 +27,7 @@ from repro.repair.batch import RepairTask
 from repro.repair.checkpoint import CheckpointJournal, task_fingerprint
 from repro.repair.service import (
     BACKEND_FAULT_STATUSES,
+    INTAKE_LATENCY_WINDOW,
     CircuitBreaker,
     RepairService,
     ServiceConfig,
@@ -403,6 +404,22 @@ def test_health_shape(tmp_path):
     assert health["store"]["puts"] >= 1
     assert health["uptime"] > 0
     assert 0.0 <= health["intake_p50"] <= health["intake_p99"]
+
+
+def test_intake_latency_record_is_bounded(monkeypatch):
+    task = _tasks(1)[0]
+    requests = INTAKE_LATENCY_WINDOW + 500
+    with RepairService(ServiceConfig()) as service:
+        # A stub dispatcher: only intake bookkeeping runs, no solves.
+        monkeypatch.setattr(service, "_execute", lambda task, index: None)
+        served = 0
+        while served < requests:
+            for _ in range(min(64, requests - served)):
+                service.submit(task)
+            served += service.process_pending()
+        assert len(service._intake_latencies) == INTAKE_LATENCY_WINDOW
+        health = service.health()
+    assert 0.0 < health["intake_p50"] <= health["intake_p99"]
 
 
 def test_ready_reflects_queue_pressure():
