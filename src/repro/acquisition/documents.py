@@ -96,18 +96,24 @@ class Table:
         """
         grid: List[List[Optional[str]]] = []
         occupied: List[List[bool]] = []
+        # Every row is kept at the current width, so existing rows are
+        # padded only when the width grows.
+        width = 0
 
         def ensure_size(n_rows: int, n_columns: int) -> None:
+            nonlocal width
+            if n_columns > width:
+                pad = n_columns - width
+                for row_cells, row_flags in zip(grid, occupied):
+                    row_cells.extend([None] * pad)
+                    row_flags.extend([False] * pad)
+                width = n_columns
             while len(grid) < n_rows:
-                grid.append([])
-                occupied.append([])
-            for row_cells, row_flags in zip(grid, occupied):
-                while len(row_cells) < n_columns:
-                    row_cells.append(None)
-                    row_flags.append(False)
+                grid.append([None] * width)
+                occupied.append([False] * width)
 
         for row_index, row in enumerate(self.rows):
-            ensure_size(row_index + 1, len(grid[0]) if grid else 0)
+            ensure_size(row_index + 1, 0)
             column = 0
             for cell in row:
                 # Find the first free column in this row.
@@ -126,12 +132,6 @@ class Table:
                         occupied[r][c] = True
                         grid[r][c] = cell.text
                 column += cell.colspan
-        # Pad all rows to the final width.
-        width = max((len(r) for r in grid), default=0)
-        for row_cells, row_flags in zip(grid, occupied):
-            while len(row_cells) < width:
-                row_cells.append(None)
-                row_flags.append(False)
         return grid
 
     def logical_width(self) -> int:

@@ -61,7 +61,6 @@ from repro.milp.iis import IISError
 from repro.repair.batch import RepairTask, repair_batch
 from repro.repair.cqa import consistent_aggregate_answer
 from repro.repair.engine import (
-    HEURISTIC_BACKEND,
     ON_INFEASIBLE_MODES,
     STRATEGIES,
     RepairEngine,
@@ -484,11 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_repair.add_argument(
         "--backend",
-        choices=available_backends() + [HEURISTIC_BACKEND],
+        choices=available_backends(),
         default=DEFAULT_BACKEND,
-        help="MILP backend, or 'heuristic' for the greedy approximate "
-             "repair (verified but not necessarily minimal) "
-             "(default: %(default)s)",
+        help="MILP backend (default: %(default)s)",
     )
     p_repair.add_argument(
         "--strategy",

@@ -22,7 +22,7 @@ the benches can measure each stage in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.acquisition.conversion import AcquisitionModule, AcquisitionResult
 from repro.acquisition.documents import Document
@@ -252,39 +252,3 @@ class DartSystem:
             final_database=validation.repaired_database,
             solve_stats=engine.solve_stats,
         )
-
-    def process_many(
-        self,
-        documents: Sequence[Document],
-        *,
-        interactive: bool = True,
-        workers: Optional[int] = None,
-        chunksize: int = 1,
-    ) -> List[AcquisitionSession]:
-        """Process a batch of documents of this scenario class.
-
-        With ``workers >= 1`` the documents fan out over a process
-        pool (the whole pipeline -- acquisition, wrapping, repair,
-        validation -- runs in the worker); results always come back in
-        document order.  ``workers=None`` processes sequentially.
-        """
-        if not workers or workers < 1:
-            return [
-                self.process(document, interactive=interactive)
-                for document in documents
-            ]
-        from concurrent.futures import ProcessPoolExecutor
-
-        payloads = [
-            (self, document, interactive) for document in documents
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(_process_document_job, payloads, chunksize=chunksize)
-            )
-
-
-def _process_document_job(payload) -> AcquisitionSession:
-    """Top-level (picklable) worker for :meth:`DartSystem.process_many`."""
-    system, document, interactive = payload
-    return system.process(document, interactive=interactive)

@@ -256,7 +256,7 @@ def solve_branch_and_bound(
     - ``presolve`` -- run :func:`repro.milp.presolve.presolve_arrays`
       first and search the reduced problem;
     - ``pricing`` -- entering-column rule of the revised simplex
-      (``"dantzig"`` default, ``"steepest"``, or ``"bland"``);
+      (``"dantzig"`` default, or ``"bland"``);
     - ``incumbent`` -- a full-space feasible point (e.g. from the
       repair heuristic) used as the initial upper bound so pruning
       starts at node 1.  Infeasible seeds are silently ignored;

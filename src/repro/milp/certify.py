@@ -56,14 +56,6 @@ CERT_INT_TOL = Fraction(1, 10**6)
 #: The maximum number of failure messages kept on a certificate.
 _MAX_FAILURES = 8
 
-#: Ladder steps in order; each entry is ``(name, option_overrides)``.
-#: Overrides accumulate down the ladder: by the time the cuts are
-#: disabled the pricing has already been pinned to Bland's rule.
-_PRICING_LADDER: Tuple[Tuple[str, str], ...] = (
-    ("pricing:dantzig", "dantzig"),
-    ("pricing:bland", "bland"),
-)
-
 #: Options meaningful only to the branch-and-bound backends; stripped
 #: when the ladder falls all the way back to the scipy/HiGHS backend.
 _BNB_ONLY_OPTIONS = frozenset(
@@ -419,7 +411,6 @@ class NumericsGovernor:
     step                      what is disabled
     ========================  ================================================
     ``as-requested``          nothing — the solve as configured
-    ``pricing:dantzig``       steepest-edge pricing (textbook Dantzig)
     ``pricing:bland``         Dantzig pricing (Bland's anti-cycling rule)
     ``cuts:off``              GMI/cover cutting planes
     ``backend:scipy``         our solver entirely (independent HiGHS)
@@ -443,11 +434,14 @@ class NumericsGovernor:
         yield "as-requested", self.backend, dict(self.options)
         current = dict(self.options)
         if self.backend in ("bnb", "bnb-simplex"):
-            if self.backend == "bnb-simplex":
-                for name, rule in _PRICING_LADDER:
-                    if current.get("pricing", "dantzig") != rule:
-                        current = {**current, "pricing": rule}
-                        yield name, self.backend, dict(current)
+            # Overrides accumulate down the ladder: by the time the cuts
+            # are disabled the pricing has already been pinned to Bland.
+            if (
+                self.backend == "bnb-simplex"
+                and current.get("pricing", "dantzig") != "bland"
+            ):
+                current = {**current, "pricing": "bland"}
+                yield "pricing:bland", self.backend, dict(current)
             if current.get("cuts", True):
                 current = {**current, "cuts": False}
                 yield "cuts:off", self.backend, dict(current)

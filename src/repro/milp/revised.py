@@ -17,8 +17,7 @@ basis by a factorization:
   and accumulated roundoff;
 - **vectorized pricing** -- reduced costs for *all* columns come from
   one BTRAN plus one CSR ``A^T y`` product (``np.bincount`` over the
-  nonzeros), with Dantzig, steepest-edge-lite (``d_j^2 / (1+|A_j|^2)``
-  with static norms) and Bland rules;
+  nonzeros), with Dantzig and Bland rules;
 - **bounded variables** -- lower/upper bounds are handled implicitly
   (nonbasic-at-lower / nonbasic-at-upper statuses and bound flips in
   the ratio test), so a branch-and-bound bound change never adds a
@@ -61,9 +60,6 @@ from repro.milp.simplex import (
 from repro.milp.sparse import CSRMatrix, SparseArrays
 
 INF = math.inf
-
-#: Steepest-edge-lite pricing (static column norms).
-PRICING_STEEPEST = "steepest"
 
 #: Refactorize the basis after this many eta updates.
 REFACTOR_INTERVAL = 64
@@ -186,10 +182,10 @@ class RevisedSimplex:
         max_iterations: int = 50_000,
         pricing: str = PRICING_DANTZIG,
     ) -> None:
-        if pricing not in (PRICING_DANTZIG, PRICING_BLAND, PRICING_STEEPEST):
+        if pricing not in (PRICING_DANTZIG, PRICING_BLAND):
             raise ValueError(
                 f"unknown pricing rule {pricing!r}; choose "
-                f"{PRICING_DANTZIG!r}, {PRICING_STEEPEST!r} or {PRICING_BLAND!r}"
+                f"{PRICING_DANTZIG!r} or {PRICING_BLAND!r}"
             )
         self.arrays = arrays
         self.pricing = pricing
@@ -231,7 +227,6 @@ class RevisedSimplex:
         #: switched to Bland's rule mid-solve — a numerics health
         #: signal surfaced through SolveStats.
         self.bland_fallbacks = 0
-        self._norms: Optional[np.ndarray] = None
         self._solved_once = False
 
     # -- column access ---------------------------------------------------
@@ -256,17 +251,6 @@ class RevisedSimplex:
         rows, vals = self._column(j)
         out[rows] = vals
         return out
-
-    def _column_norms(self) -> np.ndarray:
-        if self._norms is None:
-            self._norms = np.concatenate(
-                [
-                    self.A.csc.column_norms_sq(),
-                    np.ones(self.m),
-                    np.ones(self.m),
-                ]
-            )
-        return self._norms
 
     # -- basis maintenance -----------------------------------------------
 
@@ -334,7 +318,6 @@ class RevisedSimplex:
         cycle_threshold = 50 + 2 * (self.m + self.n_cols)
         degenerate_run = 0
         fixed = self.lo >= self.hi  # == for genuinely fixed columns
-        norms = self._column_norms() if pricing == PRICING_STEEPEST else None
         while self.iterations < max_iterations:
             y = self.factor.solve_transpose(costs[self.basic])
             d = self._reduced_costs(costs, y)
@@ -353,8 +336,6 @@ class RevisedSimplex:
                 return "optimal"
             if use_bland:
                 entering = int(np.flatnonzero(violation)[0])
-            elif norms is not None:
-                entering = int(np.argmax(violation * violation / (1.0 + norms)))
             else:
                 entering = int(np.argmax(violation))
             if self.status[entering] == AT_UPPER or (

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.diagnostics import NumericInstabilityError
 from repro.milp.branch_and_bound import solve_branch_and_bound
@@ -57,9 +57,6 @@ FALLBACK_BACKEND: Dict[str, str] = {
     "scipy": "bnb",
     "bnb": "scipy",
     "bnb-simplex": "scipy",
-    # The repair engine's approximate backend (not a milp backend --
-    # see repro.repair.heuristic); its fallback is the exact default.
-    "heuristic": "scipy",
 }
 
 
@@ -235,6 +232,9 @@ def _stats_from_solution(
     solution: Solution,
     wall_time: float,
     cache_hit: bool,
+    certificate: Optional[Certificate] = None,
+    steps: Sequence[str] = (),
+    rejected_rungs: int = 0,
 ) -> SolveStats:
     reductions = sum(
         int(solution.stats.get(key, 0))
@@ -251,7 +251,7 @@ def _stats_from_solution(
         for key, value in solution.stats.items()
         if key.startswith("phase_")
     }
-    return SolveStats(
+    stats = SolveStats(
         backend=backend,
         status=solution.status.value,
         wall_time=wall_time,
@@ -275,6 +275,13 @@ def _stats_from_solution(
         bland_fallbacks=int(solution.stats.get("bland_fallbacks", 0)),
         numeric_drift=float(solution.stats.get("numeric_drift", 0.0)),
     )
+    if certificate is not None:
+        stats.certified = certificate.certified
+        stats.certification = certificate.level
+        stats.certification_failures = rejected_rungs
+        stats.ladder_steps = list(steps)
+        stats.degraded = len(steps) > 1
+    return stats
 
 
 def solve_with_stats(
@@ -300,68 +307,18 @@ def solve_with_stats(
     model in exact rational arithmetic (:mod:`repro.milp.certify`).  A
     rejected answer is re-solved down the numerics degradation ladder
     (:class:`~repro.milp.certify.NumericsGovernor`) with the suspect
-    artifact disabled; only results from the pristine first rung are
-    ever cached, cache hits are re-certified before being trusted, and
-    an exhausted ladder raises
-    :class:`~repro.diagnostics.NumericInstabilityError`.
-    """
-    if certify:
-        return _solve_certified(
-            model, backend, cache=cache, cache_semantics=cache_semantics,
-            **options,
-        )
-    started = time.perf_counter()
-    if cache is not None:
-        key = SolveCache.key_for(model, backend, options, cache_semantics)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit, _stats_from_solution(
-                model, backend, hit, time.perf_counter() - started, True
-            )
-        solution = solve(model, backend=backend, **options)
-        if solution.status in _CACHEABLE_STATUSES:
-            cache.put(key, solution)
-    else:
-        solution = solve(model, backend=backend, **options)
-    return solution, _stats_from_solution(
-        model, backend, solution, time.perf_counter() - started, False
-    )
-
-
-def _certified_stats(
-    model: MILPModel,
-    backend: str,
-    solution: Solution,
-    wall_time: float,
-    cache_hit: bool,
-    certificate: Certificate,
-    steps: List[str],
-    rejected_rungs: int,
-) -> SolveStats:
-    stats = _stats_from_solution(model, backend, solution, wall_time, cache_hit)
-    stats.certified = certificate.certified
-    stats.certification = certificate.level
-    stats.certification_failures = rejected_rungs
-    stats.ladder_steps = list(steps)
-    stats.degraded = len(steps) > 1
-    return stats
-
-
-def _solve_certified(
-    model: MILPModel,
-    backend: str,
-    *,
-    cache: Optional[SolveCache],
-    cache_semantics: Optional[Dict[str, object]],
-    **options,
-) -> Tuple[Solution, SolveStats]:
-    """The ``certify=True`` body of :func:`solve_with_stats`.
+    artifact disabled; cache hits are re-certified before being
+    trusted, and an exhausted ladder raises
+    :class:`~repro.diagnostics.NumericInstabilityError`.  With
+    ``certify=False`` the only rung is ``as-requested`` and no
+    certificate is computed.
 
     Cache hygiene: performance-only options are excluded from cache
     keys (:data:`~repro.milp.cache.PERFORMANCE_OPTIONS`), so a
     ladder-degraded re-solve would land on the *pristine* fingerprint.
     Only the first ("as-requested") rung may therefore populate the
-    cache — a degraded or uncertified answer never does.
+    cache -- a degraded or uncertified answer never reaches the
+    durable store.
     """
     started = time.perf_counter()
     key = None
@@ -369,29 +326,37 @@ def _solve_certified(
         key = SolveCache.key_for(model, backend, options, cache_semantics)
         hit = cache.get(key)
         if hit is not None:
+            if not certify:
+                return hit, _stats_from_solution(
+                    model, backend, hit, time.perf_counter() - started, True
+                )
             # Never trust a cached answer blindly: re-certify on read.
             # A failing hit is treated as absent and re-solved fresh
             # (it cannot be *proven* wrong from here, but it is no
             # longer proven right either).
             certificate = certify_solution(model, hit)
             if certificate.certified:
-                return hit, _certified_stats(
+                return hit, _stats_from_solution(
                     model, backend, hit, time.perf_counter() - started,
-                    True, certificate, ["as-requested"], 0,
+                    True, certificate, ["as-requested"],
                 )
             # A poisoned hit must not linger in either cache tier: the
             # disk row in particular would keep serving (and failing)
             # across runs.  Evict, then fall through to a fresh solve.
             cache.evict(key)
 
-    governor = NumericsGovernor(backend, options)
+    rungs = (
+        NumericsGovernor(backend, options).steps()
+        if certify
+        else [("as-requested", backend, options)]
+    )
     steps: List[str] = []
     rung_failures: List[Dict[str, object]] = []
-    for step, step_backend, step_options in governor.steps():
+    for step, step_backend, step_options in rungs:
         steps.append(step)
         solution = solve(model, backend=step_backend, **step_options)
-        certificate = certify_solution(model, solution)
-        if certificate.certified:
+        certificate = certify_solution(model, solution) if certify else None
+        if certificate is None or certificate.certified:
             if (
                 cache is not None
                 and step == "as-requested"
@@ -400,8 +365,8 @@ def _solve_certified(
                 # ``certified=True`` is the disk-tier admission ticket:
                 # only first-rung, exact-certified answers ever reach
                 # the durable store (see repro.repair.store).
-                cache.put(key, solution, certified=True)
-            return solution, _certified_stats(
+                cache.put(key, solution, certified=certify)
+            return solution, _stats_from_solution(
                 model, step_backend, solution,
                 time.perf_counter() - started, False, certificate, steps,
                 len(rung_failures),

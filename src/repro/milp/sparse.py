@@ -249,17 +249,6 @@ class CSCView:
         start, stop = self.indptr[j], self.indptr[j + 1]
         return self.rows[start:stop], self.data[start:stop]
 
-    def column_norms_sq(self) -> np.ndarray:
-        """``||A_j||^2`` for every column (steepest-edge-lite weights)."""
-        if self.data.shape[0] == 0:
-            return np.zeros(self.shape[1])
-        col_ids = np.repeat(
-            np.arange(self.shape[1], dtype=np.int64), np.diff(self.indptr)
-        )
-        return np.bincount(
-            col_ids, weights=self.data * self.data, minlength=self.shape[1]
-        )
-
 
 @dataclass
 class SparseArrays:

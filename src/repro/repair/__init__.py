@@ -65,7 +65,6 @@ from repro.repair.setminimal import (
     is_set_minimal,
 )
 from repro.repair.engine import (
-    HEURISTIC_BACKEND,
     STRATEGIES,
     RepairEngine,
     RepairOutcome,
@@ -88,7 +87,6 @@ from repro.repair.batch import (
     BatchItemResult,
     BatchReport,
     RepairTask,
-    SolveTimeout,
     execute_task,
     repair_batch,
     tasks_from_databases,
@@ -124,7 +122,6 @@ __all__ = [
     "theoretical_big_m",
     "practical_big_m",
     "RepairEngine",
-    "HEURISTIC_BACKEND",
     "STRATEGIES",
     "HeuristicResult",
     "greedy_repair",
@@ -149,7 +146,6 @@ __all__ = [
     "RepairTask",
     "BatchItemResult",
     "BatchReport",
-    "SolveTimeout",
     "repair_batch",
     "execute_task",
     "tasks_from_databases",

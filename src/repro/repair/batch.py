@@ -80,7 +80,6 @@ from typing import (
 from repro.constraints.constraint import AggregateConstraint
 from repro.constraints.grounding import Cell
 from repro.diagnostics import (
-    SolveTimeoutError,
     WorkerCrashError,
     classify_failure,
     is_retryable_on_fallback,
@@ -98,10 +97,6 @@ from repro.repair.updates import Repair
 if TYPE_CHECKING:  # pragma: no cover - import cycles
     from repro.repair.service import CircuitBreaker
     from repro.repair.store import ResultStore
-
-#: Backwards-compatible alias: the batch timeout used to raise its own
-#: ``SolveTimeout``; budgets now surface the taxonomy's typed error.
-SolveTimeout = SolveTimeoutError
 
 #: Result statuses that count as the *backend's* fault for breaker
 #: accounting.  Input errors (invalid value, degenerate, malformed) and

@@ -624,50 +624,36 @@ def minimum_hitting_sets(
     nodes = 0
     best = len(set().union(*rows))  # hitting everything is an upper bound
 
-    def search(
-        chosen: Set[Cell],
-        limit: int,
-        collect: Optional[Set[FrozenSet[Cell]]],
-    ) -> None:
+    def search(chosen: Set[Cell]) -> None:
         nonlocal nodes, best
         nodes += 1
         if nodes > max_nodes:
             raise _HittingSetCapped
         open_rows = [cells for cells in rows if not (cells & chosen)]
         if not open_rows:
-            if collect is None:
-                best = min(best, len(chosen))
-            else:
-                if len(collect) >= max_solutions:
-                    raise _HittingSetCapped
-                collect.add(frozenset(chosen))
+            best = min(best, len(chosen))
             return
-        if len(chosen) >= (min(limit, best) if collect is None else limit):
+        if len(chosen) >= best:
             return
         # Branch on the most-constrained row: fewest candidate cells.
         pivot = min(open_rows, key=lambda cells: (len(cells), sorted(cells)))
         for cell in sorted(pivot):
             chosen.add(cell)
-            search(chosen, limit, collect)
+            search(chosen)
             chosen.remove(cell)
 
     try:
         # Phase 1: find the minimum size h (depth capped at incumbent).
-        search(set(), best, None)
+        search(set())
     except _HittingSetCapped:
         return 0, [], False, False
-    h = best
     # Phase 2: collect the size-h hitting sets.  A cap here only
     # truncates the candidate list -- h itself stays certified, but
     # completeness (and with it the certified support search) is lost.
-    solutions: Set[FrozenSet[Cell]] = set()
-    complete = True
-    nodes = 0
-    try:
-        search(set(), h, solutions)
-    except _HittingSetCapped:
-        complete = False
-    return h, sorted(solutions, key=sorted), True, complete
+    solutions, complete = hitting_sets_of_size(
+        rows, best, max_nodes=max_nodes, max_solutions=max_solutions
+    )
+    return best, solutions, True, complete
 
 
 def hitting_sets_of_size(

@@ -46,7 +46,12 @@ from repro.milp.certify import Certificate, certify_database, certify_repair
 from repro.milp.deadline import Deadline
 from repro.milp.iis import IISError, extract_iis
 from repro.milp.model import Solution, SolveStatus
-from repro.milp.solver import DEFAULT_BACKEND, SolveStats, solve_with_stats
+from repro.milp.solver import (
+    DEFAULT_BACKEND,
+    SolveStats,
+    available_backends,
+    solve_with_stats,
+)
 from repro.relational.database import Database, diff_databases
 from repro.repair.cascade import (
     TIER_EXACT,
@@ -65,11 +70,6 @@ from repro.repair.translation import (
     translate,
 )
 from repro.repair.updates import AtomicUpdate, Repair, apply_repair
-
-#: The engine-level approximate backend: the greedy primal heuristic
-#: of :mod:`repro.repair.heuristic` instead of an exact MILP solve.
-#: Repairs it returns are verified but carry no minimality certificate.
-HEURISTIC_BACKEND = "heuristic"
 
 #: Exact backends whose search accepts an incumbent seed.
 _SEEDABLE_BACKENDS = frozenset({"bnb", "bnb-simplex"})
@@ -187,14 +187,13 @@ class RepairEngine:
         :class:`~repro.milp.solver.SolveStats` record to
         :attr:`solve_stats`.
 
-        ``backend`` additionally accepts ``"heuristic"``: the greedy
-        primal repair of :mod:`repro.repair.heuristic`, which returns a
-        verified but not necessarily card-minimal repair.  ``presolve``
+        ``backend`` names a MILP backend of
+        :func:`~repro.milp.solver.available_backends`.  ``presolve``
         and ``seed_incumbent`` steer the branch-and-bound backends
         (``"bnb"`` / ``"bnb-simplex"``): the former toggles the MILP
-        presolve pass, the latter seeds the search with the heuristic's
-        repair as an initial incumbent.  Neither affects which repair
-        is optimal.
+        presolve pass, the latter seeds the search with the greedy
+        repair of :mod:`repro.repair.heuristic` as an initial
+        incumbent.  Neither affects which repair is optimal.
 
         ``on_infeasible`` selects the degradation path once the MILP
         stays infeasible after every Big-M escalation: ``"raise"``
@@ -223,6 +222,11 @@ class RepairEngine:
         ground constraints -- so a bug anywhere in lowering, presolve,
         cuts or warm starts surfaces as a typed failure instead of a
         silently wrong repair."""
+        if backend not in available_backends():
+            raise ValueError(
+                f"unknown MILP backend {backend!r}; choose from "
+                f"{available_backends()}"
+            )
         if on_infeasible not in ON_INFEASIBLE_MODES:
             raise ValueError(
                 f"on_infeasible must be one of {ON_INFEASIBLE_MODES}, "
@@ -327,20 +331,36 @@ class RepairEngine:
         when no incumbent exists at all does the engine raise
         :class:`~repro.diagnostics.SolveTimeoutError`.
         """
+        deadline = Deadline(time_limit)
         if self.strategy == "cascade" and not pins:
             # Pins bypass the cascade: the closed-form tiers reason
             # about channel pre-images and equality rows, not about
             # operator-imposed values, so a pinned request goes
             # straight to the exact path below.
-            return self._solve_cascade(time_limit, solver_options)
+            return self._solve_cascade(deadline, solver_options)
+        return self._repair(self.database, pins, deadline, solver_options)
+
+    def _repair(
+        self,
+        database: Database,
+        pins: Optional[Mapping[Cell, float]],
+        deadline: Deadline,
+        solver_options: Dict,
+    ) -> RepairOutcome:
+        """The Big-M escalation loop: a card-minimal repair of *database*.
+
+        *database* is the engine's own instance, or the cascade's
+        working copy for the T4 residue.  Steady constraints make the
+        ground system value-independent, so :attr:`ground_system`
+        grounded on the engine's instance is ``S(AC)`` for either.
+        """
         big_m_override: Optional[float] = None
         escalations = 0
         stats_start = len(self.solve_stats)
-        deadline = Deadline(time_limit)
         while True:
             deadline.check("repair computation")
             translation = translate(
-                self.database,
+                database,
                 self.constraints,
                 pins=pins,
                 strategy=self.big_m_strategy,
@@ -357,24 +377,9 @@ class RepairEngine:
                 self.backend,
                 f", {len(translation.pins)} pin(s)" if translation.pins else "",
             )
-            if self.backend == HEURISTIC_BACKEND:
-                try:
-                    solution, stats = self._solve_heuristic(translation, deadline)
-                except UnrepairableError:
-                    # The greedy heuristic proves nothing about
-                    # infeasibility, but the configured degradation
-                    # path still applies: relaxation subsumes the miss
-                    # (a feasible instance relaxes to zero violations)
-                    # and explanation distinguishes the two cases.
-                    if self.on_infeasible == "raise":
-                        raise
-                    return self._conclude_infeasible(
-                        translation, pins, deadline, stats_start, escalations
-                    )
-            else:
-                solution, stats = self._solve_exact(
-                    translation, solver_options, deadline
-                )
+            solution, stats = self._solve_exact(
+                translation, solver_options, deadline
+            )
             self.solve_stats.append(stats)
             if solution.status is SolveStatus.INFEASIBLE:
                 logger.info(
@@ -383,7 +388,8 @@ class RepairEngine:
                 )
                 if escalations >= self.max_escalations:
                     return self._conclude_infeasible(
-                        translation, pins, deadline, stats_start, escalations
+                        database, translation, pins, deadline, stats_start,
+                        escalations,
                     )
                 big_m_override = translation.big_m * 100.0
                 escalations += 1
@@ -399,14 +405,14 @@ class RepairEngine:
                     raise SolveTimeoutError(
                         "solve budget expired before any feasible repair "
                         "was found",
-                        budget=time_limit,
+                        budget=deadline.budget,
                         status=solution.status.value,
                     )
                 raise UnrepairableError(
                     f"MILP solver returned {solution.status.value}"
                 )
             repair = translation.extract_repair(solution)
-            repaired = apply_repair(self.database, repair)
+            repaired = apply_repair(database, repair)
             if not self.is_consistent(repaired):
                 # Numerically possible only if M was too tight for some
                 # intermediate value; escalate and retry.
@@ -472,7 +478,7 @@ class RepairEngine:
     # ------------------------------------------------------------------
 
     def _solve_cascade(
-        self, time_limit: Optional[float], solver_options: Dict
+        self, deadline: Deadline, solver_options: Dict
     ) -> RepairOutcome:
         """Tiers T1-T3 on a working copy, then the exact T4 residue.
 
@@ -480,13 +486,14 @@ class RepairEngine:
         record per cascade tier (``backend="cascade"``,
         ``phase="cascade"``, hit/fallthrough counts in the ``tier_*``
         fields) alongside the real solver records of the residue, which
-        are stamped ``tier="t4-exact"``.  The combined repair (cascade
-        fixes plus residue updates) is re-verified against the full
+        are stamped ``tier="t4-exact"``.  The residue runs through the
+        same Big-M loop as an exact repair, on the working copy.  The
+        combined repair (cascade fixes plus residue updates) is
+        re-verified against the full
         constraint set before being handed back, exactly like an exact
         repair.
         """
         stats_start = len(self.solve_stats)
-        deadline = Deadline(time_limit)
         working, report = run_cascade(
             self.database,
             self.constraints,
@@ -515,41 +522,12 @@ class RepairEngine:
         final = working
         if report.milp_invoked:
             deadline.check("cascade residue solve")
-            child = RepairEngine(
-                working,
-                self.constraints,
-                backend=self.backend,
-                big_m_strategy=self.big_m_strategy,
-                max_escalations=self.max_escalations,
-                objective=self.objective,
-                solve_cache=self.solve_cache,
-                presolve=self.presolve,
-                seed_incumbent=self.seed_incumbent,
-                on_infeasible=self.on_infeasible,
-                certify=self.certify,
-            )
-            # Steady constraints make the ground system value-
-            # independent, so the system grounded on the original
-            # instance is exactly S(AC) for the working copy too.
-            child._grounding._system = list(self.ground_system)
-            # The residue is solved *under cascade semantics*: its
-            # cache entries must never be served for a plain exact
-            # request (and vice versa).
-            child._cache_semantics = dict(self._cache_semantics or {})
-            outcome = child.find_card_minimal_repair(
-                time_limit=(
-                    deadline.remaining()
-                    if deadline.budget is not None
-                    else None
-                ),
-                **solver_options,
-            )
+            outcome = self._repair(working, None, deadline, solver_options)
             for position, stats in enumerate(outcome.stats):
                 stats.tier = TIER_EXACT
                 # Residual-row count once per repair, not once per
                 # escalation record, so aggregates sum cleanly.
                 stats.tier_hits = report.n_residual if position == 0 else 0
-            self.solve_stats.extend(outcome.stats)
             escalations = outcome.escalations
             translation = outcome.translation
             solution = outcome.solution
@@ -613,12 +591,6 @@ class RepairEngine:
     # Infeasibility forensics
     # ------------------------------------------------------------------
 
-    def _forensics_backend(self) -> str:
-        """The exact backend used for IIS probes and relaxation solves."""
-        if self.backend in ("scipy", "bnb", "bnb-simplex"):
-            return self.backend
-        return DEFAULT_BACKEND
-
     def _base_message(self, translation: MILPTranslation, escalations: int,
                       pins) -> str:
         return (
@@ -640,13 +612,13 @@ class RepairEngine:
         started = time.perf_counter()
         iis = extract_iis(
             translation.model,
-            backend=self._forensics_backend(),
+            backend=self.backend,
             deadline=deadline,
             groups=[translation.structural_rows()],
         )
         self.solve_stats.append(
             SolveStats(
-                backend=self._forensics_backend(),
+                backend=self.backend,
                 status="infeasible",
                 wall_time=time.perf_counter() - started,
                 nodes=iis.probes,
@@ -659,6 +631,7 @@ class RepairEngine:
 
     def _conclude_infeasible(
         self,
+        database: Database,
         translation: MILPTranslation,
         pins,
         deadline: Deadline,
@@ -670,11 +643,12 @@ class RepairEngine:
         if self.on_infeasible == "relax":
             outcome = relax_infeasible(
                 translation,
-                backend=self._forensics_backend(),
+                backend=self.backend,
                 deadline=deadline,
+                certify=self.certify,
             )
             self.solve_stats.extend(outcome.report.stats)
-            self._verify_relaxed(outcome)
+            self._verify_relaxed(database, outcome)
             logger.info(
                 "relaxed repair found: %d update(s), %d violated "
                 "constraint(s), total violation %g",
@@ -696,13 +670,9 @@ class RepairEngine:
             try:
                 report = self._conflict_report(translation, deadline)
             except IISError as error:
-                # Only reachable when the infeasibility verdict came
-                # from the approximate heuristic but the instance is
-                # actually feasible.
                 raise UnrepairableError(
                     f"{message} -- but conflict extraction found the "
-                    f"instance feasible ({error}); the heuristic missed "
-                    f"a repair, retry an exact backend"
+                    f"instance feasible ({error})"
                 ) from error
             error = UnrepairableError(
                 f"{message}; {report.summary()}",
@@ -712,9 +682,9 @@ class RepairEngine:
             raise error
         raise UnrepairableError(message)
 
-    def _verify_relaxed(self, outcome) -> None:
+    def _verify_relaxed(self, database: Database, outcome) -> None:
         """A relaxed repair may only violate what its report declares."""
-        repaired = apply_repair(self.database, outcome.repair)
+        repaired = apply_repair(database, outcome.repair)
         reported = {
             violation.ground.normalized_key()
             for violation in outcome.report.violations
@@ -762,47 +732,6 @@ class RepairEngine:
                 weights=self.weights,
             )
         return self._conflict_report(translation, deadline)
-
-    def _solve_heuristic(
-        self, translation: MILPTranslation, deadline: Optional[Deadline] = None
-    ):
-        """Run the greedy primal heuristic as the solve step.
-
-        The returned solution is stamped OPTIMAL so the shared
-        extraction/verification path accepts it; the point is verified
-        feasible by the heuristic itself (and re-verified against the
-        constraints by the caller), but its cardinality carries no
-        minimality certificate.
-        """
-        started = time.perf_counter()
-        result = greedy_repair(translation, deadline=deadline)
-        elapsed = time.perf_counter() - started
-        if result is None:
-            raise UnrepairableError(
-                "the greedy repair heuristic found no repair; the "
-                "heuristic is approximate -- retry with an exact backend "
-                "('scipy', 'bnb', 'bnb-simplex') before concluding the "
-                "instance is unrepairable"
-            )
-        solution = Solution(
-            SolveStatus.OPTIMAL,
-            objective=result.objective,
-            values=translation.model.solution_values(result.assignment),
-            stats={
-                "nodes": 0.0,
-                "lp_iterations": 0.0,
-                "heuristic_iterations": float(result.iterations),
-            },
-        )
-        stats = SolveStats(
-            backend=HEURISTIC_BACKEND,
-            status="optimal",
-            wall_time=elapsed,
-            n_variables=translation.model.n_variables,
-            n_constraints=translation.model.n_constraints,
-            objective=result.objective,
-        )
-        return solution, stats
 
     def _solve_exact(
         self,

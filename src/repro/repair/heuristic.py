@@ -14,12 +14,11 @@ The result is **verified**: the assembled full assignment (z, y, and
 the delta/t variables) must pass ``model.check_feasible`` or the
 heuristic reports failure.  Two uses:
 
-- as a standalone approximate backend (``backend="heuristic"`` on the
-  repair engine) when a feasible repair now beats a minimal repair
-  later;
 - as an **incumbent seed** for the branch-and-bound backends: a
   feasible point with objective ``k`` lets the search prune every node
-  whose bound reaches ``k`` from the very first node.
+  whose bound reaches ``k`` from the very first node;
+- as the cascade's T3 tier (:mod:`repro.repair.cascade`), whose greedy
+  repair is accepted only against a certified lower bound.
 
 Unlike the evaluation baseline
 :func:`repro.repair.baselines.greedy_local_repair` (which walks the

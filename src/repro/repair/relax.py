@@ -26,14 +26,14 @@ are copied unchanged.
 Relaxed verdicts are **never cached**: like ``feasible_gap`` results
 they are not facts about the original model (the original model is
 infeasible -- that verdict *is* cacheable and the engine caches it on
-the way here).  All three phases call
-:func:`repro.milp.solver.solve` directly, bypassing every
-:class:`~repro.milp.cache.SolveCache`.
+the way here).  All three phases go through
+:func:`repro.milp.solver.solve_with_stats` without a
+:class:`~repro.milp.cache.SolveCache`, certified when the caller
+certifies.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -49,12 +49,7 @@ from repro.milp.model import (
     SolveStatus,
     VarType,
 )
-from repro.milp.solver import (
-    DEFAULT_BACKEND,
-    SolveStats,
-    _stats_from_solution,
-    solve,
-)
+from repro.milp.solver import DEFAULT_BACKEND, SolveStats, solve_with_stats
 from repro.repair.translation import MILPTranslation, _classify_row_name
 from repro.repair.updates import Repair
 
@@ -139,16 +134,15 @@ def _solve_phase(
     backend: str,
     deadline: Deadline,
     report: RelaxationReport,
+    certify: bool,
 ) -> Solution:
     deadline.check(f"relaxation ({phase})")
     options: Dict[str, float] = {}
     remaining = deadline.remaining()
     if remaining is not None:
         options["time_limit"] = remaining
-    started = time.perf_counter()
-    solution = solve(model, backend=backend, **options)
-    stats = _stats_from_solution(
-        model, backend, solution, time.perf_counter() - started, False
+    solution, stats = solve_with_stats(
+        model, backend, cache=None, certify=certify, **options
     )
     stats.phase = phase
     report.stats.append(stats)
@@ -173,14 +167,17 @@ def relax_infeasible(
     *,
     backend: str = DEFAULT_BACKEND,
     deadline: Optional[Deadline] = None,
+    certify: bool = False,
 ) -> RelaxationOutcome:
     """Re-solve an infeasible *translation* with elastic ground rows.
 
     Returns the lexicographically best relaxed repair and its
-    violation report.  On a feasible instance this legitimately
-    returns an empty report (no slack is ever cheaper than some
-    slack), so callers normally reach it only after an INFEASIBLE
-    verdict.
+    violation report.  With ``certify=True`` every phase's answer is
+    certified in exact arithmetic, as in
+    :func:`~repro.milp.solver.solve_with_stats`.  On a feasible
+    instance this legitimately returns an empty report (no slack is
+    ever cheaper than some slack), so callers normally reach it only
+    after an INFEASIBLE verdict.
     """
     deadline = deadline or Deadline(None)
     base = translation.model
@@ -258,7 +255,9 @@ def relax_infeasible(
 
     # Phase 1: fewest violated ground constraints.
     model.set_objective(LinExpr({index: 1.0 for index in viol_indices}))
-    first = _solve_phase(model, "relax-count", backend, deadline, report)
+    first = _solve_phase(
+        model, "relax-count", backend, deadline, report, certify
+    )
     count = round(first.objective)
     model.add_constraint(
         Constraint(
@@ -271,7 +270,9 @@ def relax_infeasible(
 
     # Phase 2: smallest total violation magnitude at that count.
     model.set_objective(LinExpr({index: 1.0 for index in slack_indices}))
-    second = _solve_phase(model, "relax-magnitude", backend, deadline, report)
+    second = _solve_phase(
+        model, "relax-magnitude", backend, deadline, report, certify
+    )
     magnitude = float(second.objective)
     model.add_constraint(
         Constraint(
@@ -288,7 +289,9 @@ def relax_infeasible(
     model.set_objective(
         LinExpr(dict(base.objective.coefficients), base.objective.constant)
     )
-    third = _solve_phase(model, "relax-repair", backend, deadline, report)
+    third = _solve_phase(
+        model, "relax-repair", backend, deadline, report, certify
+    )
 
     for g_index, ground, over_name, under_name in elastic:
         s_over = float(third.values.get(over_name, 0.0)) if over_name else 0.0

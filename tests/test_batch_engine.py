@@ -19,11 +19,11 @@ import pytest
 import repro.milp.solver as solver_module
 from repro.acquisition.ocr import inject_value_errors
 from repro.datasets import generate_cash_budget
+from repro.diagnostics import SolveTimeoutError
 from repro.milp.cache import SolveCache
 from repro.milp.deadline import Deadline
 from repro.repair.batch import (
     RepairTask,
-    SolveTimeout,
     execute_task,
     repair_batch,
     tasks_from_databases,
@@ -187,14 +187,19 @@ def test_timeout_triggers_fallback(corpus, monkeypatch):
     """
     workload, databases = corpus
     seen_budgets = []
+    raised = []
 
     def exhaust(model, **kw):
         budget = kw.get("time_limit")
         seen_budgets.append(budget)
         deadline = Deadline(min(budget or 0.05, 0.05))
-        while True:
-            deadline.check()
-            time.sleep(0.005)
+        try:
+            while True:
+                deadline.check()
+                time.sleep(0.005)
+        except SolveTimeoutError as error:
+            raised.append(error)
+            raise
 
     monkeypatch.setitem(solver_module._BACKENDS, "scipy", exhaust)
     started = time.perf_counter()
@@ -208,6 +213,7 @@ def test_timeout_triggers_fallback(corpus, monkeypatch):
     assert elapsed < 4.0, "the budget should cut the solve short"
     # The batch timeout reached the backend as its solve budget.
     assert seen_budgets and all(b is not None and b <= 0.3 for b in seen_budgets)
+    assert raised and len(raised) == len(seen_budgets)
     assert result.status == "repaired"
     assert result.fallback_taken
     assert result.backend_used == "bnb"

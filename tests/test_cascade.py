@@ -295,6 +295,31 @@ class TestEngineIntegration:
                 objective=RepairObjective.WEIGHTED_CARDINALITY,
             )
 
+    def test_residue_runs_in_the_same_engine(self, monkeypatch):
+        # Seed 0 with five errors leaves a residue for the exact tier.
+        workload = generate_cash_budget(n_years=2, seed=0)
+        corrupted, _ = inject_value_errors(
+            workload.ground_truth, 5, seed=1000
+        )
+        constructed = []
+        original_init = RepairEngine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(self)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RepairEngine, "__init__", counting_init)
+        engine = RepairEngine(
+            corrupted, workload.constraints, strategy="cascade"
+        )
+        outcome = engine.find_card_minimal_repair()
+        assert outcome.cascade.milp_invoked
+        assert constructed == [engine]
+        residue = [s for s in outcome.stats if s.tier == TIER_EXACT]
+        assert residue and residue == engine.solve_stats[-len(residue):]
+        assert residue[0].tier_hits == outcome.cascade.n_residual
+        assert all(s.tier_hits == 0 for s in residue[1:])
+
     def test_pins_bypass_the_cascade(self, acquired, constraints):
         engine = RepairEngine(acquired, constraints, strategy="cascade")
         outcome = engine.find_card_minimal_repair(

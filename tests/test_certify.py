@@ -386,22 +386,19 @@ def test_noise_leaves_original_model_untouched():
 
 
 class TestNumericsGovernor:
-    def test_bnb_simplex_full_ladder_from_steepest_edge(self):
-        governor = NumericsGovernor("bnb-simplex", {"pricing": "steepest"})
-        assert governor.ladder() == [
-            "as-requested",
-            "pricing:dantzig",
-            "pricing:bland",
-            "cuts:off",
-            "backend:scipy",
-        ]
-
     def test_default_pricing_skips_the_dantzig_rung(self):
-        # The default pricing *is* Dantzig, so stepping "down" to it
-        # would re-run the identical solve; the rung is skipped.
+        # The default pricing is Dantzig; its one pricing rung is Bland.
         governor = NumericsGovernor("bnb-simplex", {})
         assert governor.ladder() == [
             "as-requested", "pricing:bland", "cuts:off", "backend:scipy",
+        ]
+
+    def test_bland_request_skips_the_pricing_rung(self):
+        # Bland is the last pricing rung; a request that already uses it
+        # steps straight to the cuts.
+        governor = NumericsGovernor("bnb-simplex", {"pricing": "bland"})
+        assert governor.ladder() == [
+            "as-requested", "cuts:off", "backend:scipy",
         ]
 
     def test_bnb_ladder_has_no_pricing_rungs(self):
@@ -494,7 +491,8 @@ def _corrupt_after_first_call(monkeypatch, names):
 
 
 class TestUserVisibleAnswersAreCertified:
-    """CQA ranges and enumerated repairs go through the certified entry."""
+    """CQA ranges, enumerated and relaxed repairs go through the
+    certified entry."""
 
     @staticmethod
     def _cqa(certify=True):
@@ -562,6 +560,35 @@ class TestUserVisibleAnswersAreCertified:
         _corrupt_after_first_call(monkeypatch, ["bnb", "scipy"])
         with pytest.raises(NumericInstabilityError):
             self._enumerate()
+
+    def test_relaxed_repair_rejects_a_corrupt_answer(self, monkeypatch):
+        from repro.faultinject import inject_contradiction
+
+        database = paper_ground_truth()
+        constraints = cash_budget_constraints()
+        pins = inject_contradiction(database, constraints, seed=23).pins
+
+        def relax():
+            # No escalation: the first solve is the INFEASIBLE verdict,
+            # every later one a relax phase.
+            engine = RepairEngine(
+                database, constraints, backend="bnb",
+                on_infeasible="relax", max_escalations=0,
+            )
+            return engine, engine.find_card_minimal_repair(pins=pins)
+
+        _, honest = relax()
+        _corrupt_after_first_call(monkeypatch, ["bnb"])
+        engine, outcome = relax()
+        phases = engine.solve_stats[1:]
+        assert [s.phase for s in phases] == [
+            "relax-count", "relax-magnitude", "relax-repair",
+        ]
+        assert all(s.certified and s.degraded for s in phases)
+        assert all(s.backend == "scipy" for s in phases)
+        assert outcome.relaxed and outcome.certified is None
+        assert str(outcome.repair) == str(honest.repair)
+        assert outcome.violations.as_dict() == honest.violations.as_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -88,13 +88,13 @@ class TestRepair:
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(1.0)
 
-    def test_heuristic_backend(self, project, capsys):
-        assert main(
-            ["repair", str(project), "--backend", "heuristic", "--stats"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "250 -> 220" in out
-        assert "heuristic: optimal" in out
+    def test_heuristic_backend_is_rejected(self, project, capsys):
+        # The greedy repair is no backend: its answer carries no
+        # minimality certificate, so it may not be printed as optimal.
+        with pytest.raises(SystemExit) as info:
+            main(["repair", str(project), "--backend", "heuristic"])
+        assert info.value.code == 2
+        assert "invalid choice: 'heuristic'" in capsys.readouterr().err
 
     def test_no_presolve_escape_hatch(self, project, capsys):
         assert main(
